@@ -13,7 +13,11 @@ checked against.  :func:`dirichlet_solve` is the classical pigeonhole
 baseline (error <= 1/(Tq) with q < T**n), whose denominator bound blows
 up exponentially in n; :func:`compare` puts the two side by side.
 :func:`epsilon_threshold` sweeps a grid of eps values and reports the
-empirical feasibility frontier.
+empirical feasibility frontier; it shares the oracle's exact scan: a q that
+misses the error bounds at some eps misses them at every smaller eps, so
+one ascending scan over q finds the smallest witness of every grid point
+at once (the witnesses are records of max_i ||q*x_i|| / (q*t_i), the best
+simultaneous approximations of Lagarias 1982).
 """
 
 from __future__ import annotations
@@ -172,6 +176,57 @@ def _exact_errors(cs: ConstraintSet, q: int, ps: Sequence[int]) -> tuple[Fractio
     return tuple(abs(x - Fraction(p, q)) for (x, _), p in zip(cs.items, ps))
 
 
+def _smallest_witnesses(
+    cs: ConstraintSet,
+    grid: Sequence[Fraction],
+    max_scan: int,
+) -> list[Solution | None]:
+    """Smallest-q solution for each point of a strictly descending grid.
+
+    One ascending scan over q serves every point.  A q that fails the
+    error bounds at some eps fails them at every smaller eps, so point k
+    resumes where point k-1 stopped: at the witness of k-1 (which is
+    tested again) or past its range.  No point is skipped, because
+    feasibility is not monotone in eps (a large eps can have an empty
+    range while smaller ones are feasible).  The first point, in grid
+    order, whose range exceeds ``max_scan`` and that has no witness
+    within it raises BudgetExceededError, as a per-point scan would.
+    """
+    witnesses: list[Solution | None] = []
+    start = 1
+    for epsilon in grid:
+        q_max = math.floor(cs.t_min / epsilon)
+        # Integer-only inner loop: |x - p/q| <= eps*t with x = xn/xd and
+        # eps*t = bn/bd becomes |xn*q - p*xd| * bd <= bn * xd * q.
+        items = []
+        for x, t in cs.items:
+            bound = epsilon * t
+            items.append((x.numerator, x.denominator, bound.numerator, bound.denominator))
+        limit = min(q_max, max_scan)
+        for q in range(start, limit + 1):
+            ps = []
+            for xn, xd, bn, bd in items:
+                f, rem = divmod(xn * q, xd)
+                p = f + 1 if 2 * rem > xd else f
+                if abs(xn * q - p * xd) * bd > bn * xd * q:
+                    break
+                ps.append(p)
+            else:
+                witnesses.append(
+                    Solution(q, tuple(ps), _exact_errors(cs, q, ps), epsilon, "brute")
+                )
+                start = q
+                break
+        else:
+            if q_max > max_scan:
+                raise BudgetExceededError(
+                    f"scan budget exhausted after {max_scan} of {q_max} denominators"
+                )
+            witnesses.append(None)
+            start = max(start, limit + 1)
+    return witnesses
+
+
 def brute_force_solve(
     cs: ConstraintSet,
     epsilon: Fraction,
@@ -190,28 +245,10 @@ def brute_force_solve(
     q_max = math.floor(cs.t_min / epsilon)
     if q_max < 1:
         return Infeasible("denominator range empty: floor(t_min/epsilon) = 0")
-    # Integer-only inner loop: |x - p/q| <= eps*t with x = xn/xd and
-    # eps*t = bn/bd becomes |xn*q - p*xd| * bd <= bn * xd * q.
-    items = []
-    for x, t in cs.items:
-        bound = epsilon * t
-        items.append((x.numerator, x.denominator, bound.numerator, bound.denominator))
-    limit = min(q_max, max_scan)
-    for q in range(1, limit + 1):
-        ps = []
-        for xn, xd, bn, bd in items:
-            f, rem = divmod(xn * q, xd)
-            p = f + 1 if 2 * rem > xd else f
-            if abs(xn * q - p * xd) * bd > bn * xd * q:
-                break
-            ps.append(p)
-        else:
-            return Solution(q, tuple(ps), _exact_errors(cs, q, ps), epsilon, "brute")
-    if q_max > max_scan:
-        raise BudgetExceededError(
-            f"scan budget exhausted after {max_scan} of {q_max} denominators"
-        )
-    return Infeasible(f"no feasible denominator in 1..{q_max}")
+    [witness] = _smallest_witnesses(cs, (epsilon,), max_scan)
+    if witness is None:
+        return Infeasible(f"no feasible denominator in 1..{q_max}")
+    return witness
 
 
 def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
@@ -317,11 +354,16 @@ def epsilon_threshold(
     grid: Iterable[Fraction],
     max_scan: int = DEFAULT_MAX_SCAN,
 ) -> ThresholdReport:
-    """Run the oracle at every grid point and locate the feasible suffix.
+    """Decide every grid point exactly and locate the feasible suffix.
 
-    The grid must be strictly descending and positive.  Feasibility is
-    reported pointwise (no monotonicity in eps is assumed); epsilon0 is
-    the top of the unbroken feasible suffix, if any.
+    The grid must be strictly descending and positive.  Each point gets
+    the witness :func:`brute_force_solve` would return for it, but all
+    points share one ascending scan over q, so a sweep costs one scan to
+    the largest q any point needs rather than one scan per point.
+    Feasibility is reported pointwise (no monotonicity in eps is
+    assumed); epsilon0 is the top of the unbroken feasible suffix, if
+    any.  BudgetExceededError is raised for the first point whose range
+    exceeds ``max_scan`` and that has no witness within it.
     """
     grid = tuple(Fraction(g) for g in grid)
     if not grid:
@@ -330,22 +372,14 @@ def epsilon_threshold(
         raise InvalidInputError("grid points must be positive")
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("grid must be strictly descending")
-    feasible = []
-    witnesses: list[Solution | None] = []
-    for g in grid:
-        result = brute_force_solve(cs, g, max_scan=max_scan)
-        if isinstance(result, Solution):
-            feasible.append(True)
-            witnesses.append(result)
-        else:
-            feasible.append(False)
-            witnesses.append(None)
+    witnesses = _smallest_witnesses(cs, grid, max_scan)
+    feasible = tuple(w is not None for w in witnesses)
     epsilon0 = None
     for g, ok in zip(reversed(grid), reversed(feasible)):
         if not ok:
             break
         epsilon0 = g
-    return ThresholdReport(grid, tuple(feasible), epsilon0, tuple(witnesses))
+    return ThresholdReport(grid, feasible, epsilon0, tuple(witnesses))
 
 
 def compare(

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +250,9 @@ def test_scan_budget_env(tmp_path, capsys, monkeypatch):
     code, out, err = invoke(capsys, ["solve", "--input", path, "--epsilon", "1/1000"])
     assert code == 1 and out == ""
     assert "budget exceeded" in err
+    code, out, err = invoke(capsys, ["sweep", "--input", path, "--grid", "1/2,1/1000"])
+    assert code == 1 and out == ""
+    assert "budget exceeded" in err
 
     monkeypatch.setenv("FAREY_APPROX_MAX_SCAN", "bogus")
     code, _, err = invoke(capsys, ["solve", "--input", path, "--epsilon", "1/1000"])
@@ -301,6 +306,7 @@ def test_sweep_determinism(tmp_path, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fareyapprox", "farey", "--order", "2"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         capture_output=True,
         text=True,
     )

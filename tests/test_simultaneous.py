@@ -1,9 +1,13 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareyapprox import (
+    DEFAULT_MAX_SCAN,
     BudgetExceededError,
     ConstraintSet,
     Infeasible,
@@ -244,6 +248,105 @@ def test_epsilon_threshold_examples():
     assert rep.feasible == (True, True, True)
     assert rep.epsilon0 == F(1, 2)
     assert [w.q for w in rep.witnesses] == [1, 2, 3]
+    # eps = 1 exceeds t_min = 1/2, so its range is empty; smaller eps are
+    # feasible, and the sweep must go on past the infeasible first point
+    rep = epsilon_threshold(cs((F(1, 2), F(1, 2))), [F(1), F(1, 4), F(1, 8)])
+    assert rep.feasible == (False, True, True)
+    assert rep.epsilon0 == F(1, 4)
+    assert rep.witnesses[0] is None
+    assert [(w.q, w.ps) for w in rep.witnesses[1:]] == [(2, (1,)), (2, (1,))]
+
+
+def test_epsilon_threshold_budget_names_first_unwitnessed_point():
+    # max_scan = 5: eps = 1/20 has range 20 but the witness 7/5; eps = 1/1000
+    # (range 1000) is the first point with no witness within the budget
+    c = cs((SQRT2_50, F(1)),)
+    grid = [F(1, 2), F(1, 20), F(1, 1000), F(1, 2000)]
+    with pytest.raises(BudgetExceededError) as info:
+        epsilon_threshold(c, grid, max_scan=5)
+    assert str(info.value) == "scan budget exhausted after 5 of 1000 denominators"
+
+
+def test_epsilon_threshold_budget_not_raised_when_witnessed():
+    # ranges 20 and 50 exceed max_scan = 5, but q = 5 fits both
+    c = cs((SQRT2_50, F(1)),)
+    rep = epsilon_threshold(c, [F(1, 2), F(1, 20), F(1, 50)], max_scan=5)
+    assert rep.feasible == (True, True, True)
+    assert [(w.q, w.ps, w.epsilon) for w in rep.witnesses] == [
+        (1, (1,), F(1, 2)),
+        (5, (7,), F(1, 20)),
+        (5, (7,), F(1, 50)),
+    ]
+
+
+def reference_smallest(c, eps, max_scan):
+    """Smallest (q, ps) fitting at eps through the Fraction checker.
+
+    Returns None when the range is exhausted, or the budget message a
+    scan capped at ``max_scan`` must raise.
+    """
+    q_max = math.floor(c.t_min / eps)
+    for q in range(1, min(q_max, max_scan) + 1):
+        ps = tuple(best_numerator(x, q) for x in c.xs)
+        if check_solution(c, eps, q, ps).overall:
+            return q, ps
+    if q_max > max_scan:
+        return f"scan budget exhausted after {max_scan} of {q_max} denominators"
+    return None
+
+
+@st.composite
+def sweep_instances(draw):
+    # Small denominators make exact ties (2*rem = xd) common, and the
+    # t_min/m points put eps*q = t_min on the boundary.
+    n = draw(st.integers(1, 4))
+    weights = st.sampled_from([F(1), F(1, 2), F(1, 10)])
+    c = cs(*[
+        (F(draw(st.integers(-12, 12)), draw(st.integers(1, 12))), draw(weights))
+        for _ in range(n)
+    ])
+    point = st.one_of(
+        st.builds(F, st.integers(1, 6), st.integers(1, 48)),
+        st.integers(1, 40).map(lambda m: c.t_min / m),
+    )
+    grid = sorted(draw(st.lists(point, min_size=1, max_size=8, unique=True)), reverse=True)
+    max_scan = draw(st.one_of(st.just(DEFAULT_MAX_SCAN), st.integers(0, 30)))
+    return c, grid, max_scan
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_instances())
+def test_sweep_and_oracle_match_fraction_reference(instance):
+    c, grid, max_scan = instance
+    expected = [reference_smallest(c, g, max_scan) for g in grid]
+    budget = [e for e in expected if isinstance(e, str)]
+    if budget:
+        with pytest.raises(BudgetExceededError) as info:
+            epsilon_threshold(c, grid, max_scan=max_scan)
+        assert str(info.value) == budget[0]
+    else:
+        rep = epsilon_threshold(c, grid, max_scan=max_scan)
+        assert rep.feasible == tuple(e is not None for e in expected)
+        feasible_tail = [g for i, g in enumerate(grid) if all(expected[i:])]
+        assert rep.epsilon0 == (max(feasible_tail) if feasible_tail else None)
+        for g, e, w in zip(grid, expected, rep.witnesses):
+            if e is None:
+                assert w is None
+            else:
+                q, ps = e
+                assert (w.q, w.ps, w.epsilon, w.method) == (q, ps, g, "brute")
+                assert w.errors == tuple(abs(x - F(p, q)) for x, p in zip(c.xs, ps))
+    for g, e in zip(grid, expected):
+        if isinstance(e, str):
+            with pytest.raises(BudgetExceededError) as info:
+                brute_force_solve(c, g, max_scan=max_scan)
+            assert str(info.value) == e
+            continue
+        result = brute_force_solve(c, g, max_scan=max_scan)
+        if e is None:
+            assert isinstance(result, Infeasible)
+        else:
+            assert (result.q, result.ps, result.epsilon) == (e[0], e[1], g)
 
 
 def test_epsilon_threshold_standin_grid():
