@@ -40,15 +40,12 @@ from .mediants import (
 from .rationals import (
     CONSTANT_NAMES,
     DEFAULT_PRECISION,
-    Rational,
     format_rational,
     fractional_part,
-    integral_part,
     mediant,
     nearest_int_distance,
     parse_rational,
     parse_real,
-    reduce,
 )
 from .simultaneous import (
     DEFAULT_MAX_SCAN,
@@ -91,7 +88,6 @@ __all__ = [
     "MediantChain",
     "PropertyCheck",
     "PropertyReport",
-    "Rational",
     "Solution",
     "Subdivision",
     "ThresholdReport",
@@ -113,12 +109,10 @@ __all__ = [
     "farey_sequence",
     "format_rational",
     "fractional_part",
-    "integral_part",
     "mediant",
     "nearest_int_distance",
     "parse_rational",
     "parse_real",
-    "reduce",
     "subdivide",
     "verify_farey_properties",
 ]

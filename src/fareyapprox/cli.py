@@ -54,7 +54,7 @@ def _max_scan() -> int:
 
 
 def _read_constraints(path: str, precision: int) -> ConstraintSet:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     items = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -76,8 +76,8 @@ def _read_constraints(path: str, precision: int) -> ConstraintSet:
     return ConstraintSet(tuple(items))
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _emit_json(obj: dict, precision: int) -> None:
+    sys.stdout.write(json.dumps({**obj, "precision": precision}, indent=2) + "\n")
 
 
 def _solution_json(sol: Solution) -> dict:
@@ -175,8 +175,7 @@ def _cmd_neighbors(args) -> int:
             "right": format_rational(found.right),
         }
     obj["order"] = args.order
-    obj["precision"] = args.precision
-    _emit_json(obj)
+    _emit_json(obj, args.precision)
     return 0
 
 
@@ -200,8 +199,8 @@ def _cmd_subdivide(args) -> int:
             "gap_bound": format_rational(result.gap_bound),
             "denom_bound": result.denom_bound,
             "max_denominator": max(p.denominator for p in result.points),
-            "precision": args.precision,
-        }
+        },
+        args.precision,
     )
     return 0
 
@@ -210,22 +209,16 @@ def _cmd_solve(args) -> int:
     cs = _read_constraints(args.input, args.precision)
     eps = _parse_positive_epsilon(args.epsilon)
     if args.method == "compose":
-        sol = compose_solve(cs, eps)
-        obj = _solution_json(sol)
-        obj["precision"] = args.precision
-        _emit_json(obj)
-        return 0
-    result = brute_force_solve(cs, eps, max_scan=_max_scan())
-    if isinstance(result, Infeasible):
-        obj = _infeasible_json(result)
-        obj["epsilon"] = format_rational(eps)
-        obj["precision"] = args.precision
-        _emit_json(obj)
-        return 2
-    obj = _solution_json(result)
-    obj["precision"] = args.precision
-    _emit_json(obj)
-    return 0
+        result = compose_solve(cs, eps)
+    else:
+        result = brute_force_solve(cs, eps, max_scan=_max_scan())
+    infeasible = isinstance(result, Infeasible)
+    if infeasible:
+        obj = {**_infeasible_json(result), "epsilon": format_rational(eps)}
+    else:
+        obj = _solution_json(result)
+    _emit_json(obj, args.precision)
+    return 2 if infeasible else 0
 
 
 def _cmd_dirichlet(args) -> int:
@@ -233,8 +226,7 @@ def _cmd_dirichlet(args) -> int:
     sol = dirichlet_solve(cs.xs, args.T, max_scan=_max_scan())
     obj = _solution_json(sol)
     obj["T"] = args.T
-    obj["precision"] = args.precision
-    _emit_json(obj)
+    _emit_json(obj, args.precision)
     return 0
 
 
@@ -261,8 +253,8 @@ def _cmd_sweep(args) -> int:
                 "witnesses": [
                     None if w is None else _solution_json(w) for w in report.witnesses
                 ],
-                "precision": args.precision,
-            }
+            },
+            args.precision,
         )
     return 0 if report.epsilon0 is not None else 2
 
@@ -290,8 +282,8 @@ def _cmd_compare(args) -> int:
                 else format_rational(report.max_error_constrained)
             ),
             "max_error_dirichlet": format_rational(report.max_error_dirichlet),
-            "precision": args.precision,
-        }
+        },
+        args.precision,
     )
     return 0
 

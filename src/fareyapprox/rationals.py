@@ -9,6 +9,8 @@ exactness.
 Irrational inputs are admitted through a stand-in convention: a named
 constant such as ``sqrt2`` or ``pi`` is truncated (toward zero) to a fixed
 number of decimal digits at parse time and converted exactly to a Fraction.
+Its digits come from integer arithmetic alone, ``math.isqrt`` or, for ``pi``
+and ``e``, series with a proven error bracket, so every digit is certified.
 All downstream guarantees then hold exactly for the stand-in.  The stand-in
 is reproducible bit-for-bit from the precision parameter alone.
 """
@@ -18,12 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .errors import InvalidInputError
-
-# The universal number type of this package.
-Rational = Fraction
 
 #: Decimal digits kept when a named constant is turned into a stand-in.
 DEFAULT_PRECISION = 64
@@ -32,13 +29,6 @@ DEFAULT_PRECISION = 64
 CONSTANT_NAMES = ("sqrt2", "sqrt3", "sqrt5", "phi", "e", "pi")
 
 _SQUARE_ROOTS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
-
-
-def reduce(num: int, den: int) -> Fraction:
-    """Return the reduced fraction num/den with a positive denominator."""
-    if den == 0:
-        raise InvalidInputError("denominator must be nonzero")
-    return Fraction(num, den)
 
 
 def mediant(a: Fraction, b: Fraction) -> Fraction:
@@ -53,11 +43,6 @@ def nearest_int_distance(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer; always in [0, 1/2]."""
     f = x - math.floor(x)
     return min(f, 1 - f)
-
-
-def integral_part(x: Fraction) -> int:
-    """floor(x), so integral_part(-1/4) == -1."""
-    return math.floor(x)
 
 
 def fractional_part(x: Fraction) -> Fraction:
@@ -115,17 +100,41 @@ def parse_real(text: str, precision: int = DEFAULT_PRECISION) -> Fraction:
 
 
 def _scaled_floor(name: str, precision: int) -> int:
-    # floor(c * 10**precision) for c in {pi, e}.  mpmath evaluates the
-    # constant with guard digits; the result is accepted only once two
-    # successive precisions agree, which makes it independent of the
-    # starting guard size.
-    constant = {"pi": mpmath.pi, "e": mpmath.e}[name]
-    guard = 30
-    prev = None
+    # floor(c * 10**precision) for c in {pi, e}.  _series brackets c * one
+    # for one = 10**(precision + guard); once both ends of the bracket agree
+    # with the guard digits dropped, their common floor is the answer.  A
+    # run of 9s or 0s after the last kept digit needs a larger guard.
+    guard = 10
     while True:
-        with mpmath.workdps(precision + guard):
-            cur = int(mpmath.floor(+constant * mpmath.mpf(10) ** precision))
-        if cur == prev:
-            return cur
-        prev = cur
+        approx, err = _series(name, 10 ** (precision + guard))
+        lo = (approx - err) // 10**guard
+        if lo == (approx + err) // 10**guard:
+            return lo
         guard *= 2
+
+
+def _series(name: str, one: int) -> tuple[int, int]:
+    # (approx, err) with |c * one - approx| < err.  Nested floors compose,
+    # floor(floor(a/b)/c) == floor(a/(b*c)), so each term is the floor of its
+    # exact value (off by < 1), and each loop stops at the first term below 1.
+    # pi = 16 atan(1/5) - 4 atan(1/239) (Machin): the series of atan(1/m)
+    # alternates with decreasing terms, so its tail is below that first term
+    # and k summed terms leave it off by < k + 1.  e = sum_k 1/k!: past k
+    # terms the tail is below term k * (k+1)/k < 2, so it is off by < k + 2.
+    approx = err = 0
+    if name == "pi":
+        for m, weight in ((5, 16), (239, -4)):
+            power, k = one // m, 0
+            while power:
+                term = power // (2 * k + 1)
+                approx += weight * (-term if k % 2 else term)
+                power //= m * m
+                k += 1
+            err += abs(weight) * (k + 1)
+        return approx, err
+    term, k = one, 0
+    while term:
+        approx += term
+        k += 1
+        term //= k
+    return approx, k + 2

@@ -244,6 +244,17 @@ def test_comments_and_blank_lines(tmp_path, capsys):
     assert json.loads(out)["q"] == 2
 
 
+def test_constraint_file_with_utf8_bom(tmp_path, capsys):
+    text = "sqrt2 1\nphi 1/2\n"
+    plain = write(tmp_path, "plain.txt", text)
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    argv = ["solve", "--epsilon", "1/100", "--input"]
+    expected = invoke(capsys, [*argv, plain])
+    assert expected[0] == 0
+    assert invoke(capsys, [*argv, str(bom)]) == expected
+
+
 def test_scan_budget_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
     monkeypatch.setenv("FAREY_APPROX_MAX_SCAN", "5")

@@ -1,6 +1,11 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,44 +13,29 @@ from fareyapprox import (
     InvalidInputError,
     format_rational,
     fractional_part,
-    integral_part,
     mediant,
     nearest_int_distance,
     parse_rational,
     parse_real,
-    reduce,
 )
+from fareyapprox.rationals import _series
 
 # First 50 decimals of pi and e, a well-known reference independent of the
 # implementation's digit source.
 PI_50 = "3.14159265358979323846264338327950288419716939937510"
 E_50 = "2.71828182845904523536028747135266249775724709369995"
 
+# SHA-256 of str(floor(c * 10**2000)), taken from an independent
+# multiprecision evaluation of pi and e.
+DIGESTS_2000 = {
+    "pi": "0b7980ab9005cc94e83351b2e5593b3c3f363a67452526d756243e344d6cb842",
+    "e": "87c86c78496b188708d5bdc9d1e099be6de91329fc69714e0ef3a8f63ec70f0d",
+}
+
 
 def assert_canonical(x):
     assert x.denominator > 0
     assert math.gcd(abs(x.numerator), x.denominator) == 1
-
-
-def test_reduce_examples():
-    assert reduce(4, 6) == F(2, 3)
-    assert reduce(3, -9) == F(-1, 3)
-    assert reduce(0, 7) == F(0, 1)
-
-
-def test_reduce_zero_denominator():
-    with pytest.raises(InvalidInputError):
-        reduce(1, 0)
-
-
-def test_reduce_always_canonical():
-    rng = random.Random(101)
-    for _ in range(200):
-        num = rng.randint(-500, 500)
-        den = rng.choice([d for d in range(-30, 31) if d != 0])
-        x = reduce(num, den)
-        assert_canonical(x)
-        assert x * den == num
 
 
 def test_mediant_examples():
@@ -85,16 +75,16 @@ def test_nearest_int_distance_properties():
 
 
 def test_integral_fractional_examples():
-    assert (integral_part(F(7, 3)), fractional_part(F(7, 3))) == (2, F(1, 3))
-    assert (integral_part(F(-1, 4)), fractional_part(F(-1, 4))) == (-1, F(3, 4))
-    assert (integral_part(F(5, 1)), fractional_part(F(5, 1))) == (5, F(0, 1))
+    assert (math.floor(F(7, 3)), fractional_part(F(7, 3))) == (2, F(1, 3))
+    assert (math.floor(F(-1, 4)), fractional_part(F(-1, 4))) == (-1, F(3, 4))
+    assert (math.floor(F(5, 1)), fractional_part(F(5, 1))) == (5, F(0, 1))
 
 
 def test_integral_fractional_reassemble():
     rng = random.Random(404)
     for _ in range(300):
         x = F(rng.randint(-400, 400), rng.randint(1, 50))
-        n, f = integral_part(x), fractional_part(x)
+        n, f = math.floor(x), fractional_part(x)
         assert n + f == x
         assert 0 <= f < 1
 
@@ -138,6 +128,33 @@ def test_pi_e_standins_match_reference_digits():
     assert parse_real("e", 50) == F(E_50)
     assert parse_real("pi", 5) == F(314159, 100000)
     assert parse_real("e", 5) == F(271828, 100000)
+
+
+@pytest.mark.parametrize("name", ["pi", "e"])
+def test_pi_e_standins_are_truncations_of_pinned_digits(name):
+    big = int(parse_real(name, 2000) * 10**2000)
+    assert hashlib.sha256(str(big).encode()).hexdigest() == DIGESTS_2000[name]
+    # The series bracket holds: approx - err <= floor(c * one) < approx + err.
+    for digits in [*range(0, 60), 500, 761, 1999]:
+        approx, err = _series(name, 10**digits)
+        assert approx - err <= big // 10 ** (2000 - digits) < approx + err, digits
+    # Truncating the pinned 2000 digits gives every shorter stand-in.  At
+    # 761 digits six 9s follow (the Feynman point), so the first guard size
+    # cannot decide the floor of pi and the guard-doubling retry runs.
+    for precision in [*range(1, 401), 761, 762, 763, 1000, 1500, 2000]:
+        expected = F(big // 10 ** (2000 - precision), 10**precision)
+        assert parse_real(name, precision) == expected, precision
+
+
+def test_cli_import_needs_no_mpmath():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fareyapprox.cli; print('mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_standins_reproducible():
