@@ -8,10 +8,10 @@ builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+from ._record import record
 from .errors import EndOfSequenceError, InvalidInputError
 
 
@@ -20,7 +20,7 @@ def _require_order(order: int) -> None:
         raise InvalidInputError("Farey order must be a positive integer")
 
 
-@dataclass(frozen=True)
+@record
 class FareyPair:
     """Two consecutive elements of F_order.
 
@@ -49,7 +49,7 @@ class FareyPair:
             raise InvalidInputError(f"pair is not consecutive in F_{self.order}: {self.left}, {self.right}")
 
 
-@dataclass(frozen=True)
+@record
 class ExactHit:
     """A queried value that is itself a member of F_order."""
 
@@ -57,7 +57,7 @@ class ExactHit:
     order: int
 
 
-@dataclass(frozen=True)
+@record
 class PropertyCheck:
     passed: bool
     checked: int
@@ -65,7 +65,7 @@ class PropertyCheck:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     """Outcome of the four classical adjacent-term checks over all of F_order."""
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import BudgetExceededError, InfeasibleError, InvalidInputError
 from .farey import FareyPair
 
@@ -28,7 +28,7 @@ class ChainSide(enum.Enum):
     ASCENDING = "ascending"
 
 
-@dataclass(frozen=True)
+@record
 class MediantChain:
     """A ladder of mediants leaning on one endpoint of ``base``.
 
@@ -42,7 +42,7 @@ class MediantChain:
     base: FareyPair
 
 
-@dataclass(frozen=True)
+@record
 class Subdivision:
     """Strictly increasing reduced points covering a bracketing interval.
 

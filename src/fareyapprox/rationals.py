@@ -18,6 +18,7 @@ is reproducible bit-for-bit from the precision parameter alone.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -28,7 +29,18 @@ DEFAULT_PRECISION = 64
 #: Named constants accepted by :func:`parse_real`.
 CONSTANT_NAMES = ("sqrt2", "sqrt3", "sqrt5", "phi", "e", "pi")
 
+#: Largest ``precision`` accepted for named constants (pi takes ~0.03 s).
+MAX_PRECISION = 5000
+
+#: Largest number of digits, and largest decimal exponent in absolute
+#: value, accepted in a rational literal.  Both are checked before any
+#: integer is built, so parsing an admitted literal takes well under 1 ms.
+MAX_LITERAL_DIGITS = 4000
+MAX_LITERAL_EXPONENT = 10_000
+
 _SQUARE_ROOTS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
+# The exponent as Fraction reads it, digit groups joined by "_" included.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 def mediant(a: Fraction, b: Fraction) -> Fraction:
@@ -56,10 +68,23 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a decimal literal (exponents allowed) exactly."""
+    """Parse "p/q" or a decimal literal (exponents allowed) exactly.
+
+    Literals with more than ``MAX_LITERAL_DIGITS`` digits or a decimal
+    exponent beyond ``MAX_LITERAL_EXPONENT`` are rejected unparsed.
+    """
     s = text.strip()
     if not s:
         raise InvalidInputError("empty rational literal")
+    if sum(c.isdigit() for c in s) > MAX_LITERAL_DIGITS:
+        raise InvalidInputError(
+            f"literal {s[:20]!r}... has more than {MAX_LITERAL_DIGITS} digits"
+        )
+    exponent = _EXPONENT.search(s)
+    if exponent and abs(int(exponent.group(1))) > MAX_LITERAL_EXPONENT:
+        raise InvalidInputError(
+            f"exponent of {text!r} exceeds {MAX_LITERAL_EXPONENT} in absolute value"
+        )
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -74,14 +99,18 @@ def parse_real(text: str, precision: int = DEFAULT_PRECISION) -> Fraction:
     Fractions and decimals convert exactly.  A named constant from
     ``CONSTANT_NAMES`` is truncated toward zero to ``precision`` decimal
     digits and converted exactly; the result is the stand-in used by all
-    downstream arithmetic.
+    downstream arithmetic.  A leading minus sign negates a named constant;
+    truncation toward zero is odd, so the stand-in of -c is minus that of c.
+    ``precision`` must lie in 1..MAX_PRECISION.
     """
-    if not isinstance(precision, int) or precision < 1:
-        raise InvalidInputError("precision must be a positive integer")
+    if not isinstance(precision, int) or not 1 <= precision <= MAX_PRECISION:
+        raise InvalidInputError(f"precision must be an integer in 1..{MAX_PRECISION}")
     s = text.strip()
     if not s:
         raise InvalidInputError("empty real literal")
     name = s.lower()
+    if name[0] == "-" and name[1:] in CONSTANT_NAMES:
+        return -parse_real(name[1:], precision)
     if name in _SQUARE_ROOTS:
         scale = 10**precision
         return Fraction(math.isqrt(_SQUARE_ROOTS[name] * scale * scale), scale)

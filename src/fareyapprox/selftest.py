@@ -6,6 +6,7 @@ two runs produce byte-identical output.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import TextIO
@@ -61,6 +62,16 @@ def _fixed_instances() -> list[tuple[simultaneous.ConstraintSet, Fraction]]:
     return instances
 
 
+def _fraction_scan(cs: simultaneous.ConstraintSet, eps: Fraction) -> tuple | None:
+    # The oracle's answer by definition: the smallest q whose nearest
+    # numerators pass the Fraction checker, trying every q in turn.
+    for q in range(1, math.floor(cs.t_min / eps) + 1):
+        ps = tuple(simultaneous.best_numerator(x, q) for x in cs.xs)
+        if simultaneous.check_solution(cs, eps, q, ps).overall:
+            return q, ps
+    return None
+
+
 def run_selftest(stream: TextIO = sys.stdout) -> int:
     """Run all checks, print one line per group plus a summary; 0 iff clean."""
     checks = 0
@@ -110,6 +121,22 @@ def run_selftest(stream: TextIO = sys.stdout) -> int:
     status = "ok" if not cross_failures else "FAIL"
     stream.write(
         f"compose vs oracle: {status} ({len(instances)} instances, {satisfied} satisfied)\n"
+    )
+
+    feasible = 0
+    oracle_failures: list[str] = []
+    for idx, (cs, eps) in enumerate(instances):
+        checks += 1
+        expected = _fraction_scan(cs, eps)
+        feasible += expected is not None
+        found = simultaneous.brute_force_solve(cs, eps)
+        got = (found.q, found.ps) if isinstance(found, simultaneous.Solution) else None
+        if got != expected:
+            oracle_failures.append(f"instance {idx}: oracle gives {got}, Fraction scan {expected}")
+    failures.extend(oracle_failures)
+    status = "ok" if not oracle_failures else "FAIL"
+    stream.write(
+        f"oracle vs Fraction scan: {status} ({len(instances)} instances, {feasible} feasible)\n"
     )
 
     for line in failures:

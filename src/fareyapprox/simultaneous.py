@@ -7,8 +7,8 @@ with
     |x_i - p_i/q| <= eps * t_i   for every i,   and   eps * q <= min_i t_i.
 
 The denominator condition caps q at t_min/eps, so the whole search space
-is the finite scan q = 1 .. floor(t_min/eps); :func:`brute_force_solve`
-walks it exactly and is the ground-truth oracle every other method is
+is the finite range q = 1 .. floor(t_min/eps); :func:`brute_force_solve`
+decides it exactly and is the ground-truth oracle every other method is
 checked against.  :func:`dirichlet_solve` is the classical pigeonhole
 baseline (error <= 1/(Tq) with q < T**n), whose denominator bound blows
 up exponentially in n; :func:`compare` puts the two side by side.
@@ -18,15 +18,25 @@ misses the error bounds at some eps misses them at every smaller eps, so
 one ascending scan over q finds the smallest witness of every grid point
 at once (the witnesses are records of max_i ||q*x_i|| / (q*t_i), the best
 simultaneous approximations of Lagarias 1982).
+
+Neither scan tests every q of its range.  A q that fits every item fits
+one pivot item, and the q whose ||q*x|| lies in a window are the return
+times of the rotation q -> q*x mod 1 to an interval, which by the
+three-gap theorem (Sós 1958; Slater 1967) follow each other by one of
+three gaps.  :func:`_window_hits` steps from one such q to the next in a
+few integer operations, with a window that contains every q the exact
+test can accept; each q it yields then goes through the exact integer
+test of every item, so the answers are those of a full scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
+from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
 from .farey import ExactHit, farey_neighbors
 
@@ -34,7 +44,7 @@ from .farey import ExactHit, farey_neighbors
 DEFAULT_MAX_SCAN = 10_000_000
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSet:
     """The finite list of (target, tolerance weight) pairs."""
 
@@ -61,7 +71,7 @@ class ConstraintSet:
         return min(t for _, t in self.items)
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     """A common denominator q with numerators and exact per-item errors.
 
@@ -83,28 +93,28 @@ class Solution:
         return max(self.errors)
 
 
-@dataclass(frozen=True)
+@record
 class Infeasible:
     """Negative verdict of an exhaustive scan, with the reason."""
 
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class ItemCheck:
     error_ok: bool
     exact_error: Fraction
     bound: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     per_item: tuple[ItemCheck, ...]
     denom_ok: bool
     overall: bool
 
 
-@dataclass(frozen=True)
+@record
 class ThresholdReport:
     """Feasibility of each grid point plus the measured frontier.
 
@@ -120,7 +130,7 @@ class ThresholdReport:
     witnesses: tuple[Solution | None, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     epsilon: Fraction
     constrained: Union[Solution, Infeasible]
@@ -137,8 +147,7 @@ def best_numerator(x: Fraction, q: int) -> int:
     if not isinstance(q, int) or q < 1:
         raise InvalidInputError("denominator must be a positive integer")
     x = Fraction(x)
-    f, rem = divmod(x.numerator * q, x.denominator)
-    return f + 1 if 2 * rem > x.denominator else f
+    return _nearest(x.numerator, x.denominator, q)[0]
 
 
 def check_solution(
@@ -176,6 +185,74 @@ def _exact_errors(cs: ConstraintSet, q: int, ps: Sequence[int]) -> tuple[Fractio
     return tuple(abs(x - Fraction(p, q)) for (x, _), p in zip(cs.items, ps))
 
 
+def _nearest(xn: int, xd: int, q: int) -> tuple[int, int]:
+    # (p, |xn*q - p*xd|) for the numerator p nearest q*xn/xd, exact ties
+    # to the smaller p; the distance is xd * ||q * xn/xd||.
+    f, rem = divmod(xn * q, xd)
+    return (f + 1, xd - rem) if 2 * rem > xd else (f, rem)
+
+
+def _window_hits(
+    xn: int, xd: int, lo: int, hi: int, width: Callable[[int], int]
+) -> Iterator[int]:
+    """Yield, ascending, every q in lo..hi with _nearest(xn, xd, q)[1] <= C.
+
+    xn/xd must be in lowest terms.  The half-width C = width(b) is fixed per
+    doubling block [2**k, 2**(k+1) - 1] of q, where b is the block's last q
+    (at most hi); ``width`` must not decrease in b, so a hit of one block's
+    window is a hit of the next block's.  The walk starts from q = 0, which
+    always hits, and carries into each block the last hit of the blocks
+    before, so it steps through the hits below lo too.  Once the window
+    covers all residues, q runs through the rest of the range one by one.
+    """
+    if lo > hi:
+        return
+    q, k = 0, 0
+    while 1 << k <= hi:
+        first, last = max(lo, 1 << k), min((2 << k) - 1, hi)
+        c = width(last)
+        w = 2 * c + 1
+        if w >= xd:
+            yield from range(first, hi + 1)
+            return
+        # Shifted residues s = (xn*q + c) mod xd put the window at 0..w-1.
+        # q1 is the first q >= 1 whose residue moves forward by u < w, q2
+        # the first whose residue moves back by v < w.  They are the first
+        # left and right endpoints of the Stern-Brocot descent on xn/xd
+        # with error inside the window (one-sided best approximations),
+        # reached in batched steps as in farey.farey_neighbors.  u == v
+        # happens only at u = v = 1, next to xn/xd itself, where a window
+        # w >= 2 has already stopped the loop; for w = 1 the hits are the
+        # multiples of xd, so q1 = q2 = xd with u = v = 0.
+        q1, u, q2, v = 1, xn % xd, 1, xd - xn % xd
+        while u >= w or v >= w:
+            if u > v:
+                j = min((u - 1) // v, (u - w) // v + 1)
+                q1, u = q1 + j * q2, u - j * v
+            elif v > u:
+                j = min((v - 1) // u, (v - w) // u + 1)
+                q2, v = q2 + j * q1, v - j * u
+            else:
+                q1 = q2 = q1 + q2
+                u = v = 0
+        # Three-gap rule: u + v >= w, so at most one of s + u and s - v
+        # stays in the window; when neither does, s + u - v does.
+        s = (xn * q + c) % xd
+        while True:
+            if s + u < w:
+                step, s = q1, s + u
+            elif s >= v:
+                step, s = q2, s - v
+            else:
+                step, s = q1 + q2, s + u - v
+            if q + step > last:
+                break
+            q += step
+            if q >= first:
+                yield q
+        k += 1
+
+
 def _smallest_witnesses(
     cs: ConstraintSet,
     grid: Sequence[Fraction],
@@ -183,7 +260,7 @@ def _smallest_witnesses(
 ) -> list[Solution | None]:
     """Smallest-q solution for each point of a strictly descending grid.
 
-    One ascending scan over q serves every point.  A q that fails the
+    One ascending pass over q serves every point.  A q that fails the
     error bounds at some eps fails them at every smaller eps, so point k
     resumes where point k-1 stopped: at the witness of k-1 (which is
     tested again) or past its range.  No point is skipped, because
@@ -191,29 +268,47 @@ def _smallest_witnesses(
     range while smaller ones are feasible).  The first point, in grid
     order, whose range exceeds ``max_scan`` and that has no witness
     within it raises BudgetExceededError, as a per-point scan would.
+
+    The candidates of a point are its start, then the q above it that
+    :func:`_window_hits` yields for the pivot item, the first with the
+    smallest t_i.  Its window is C = floor(bn*xd*b/bd) for the block ending
+    at b, which holds every q <= b that fits the pivot, so no solution is
+    missed; each candidate then gets the exact test of every item.  A scan
+    visits at most about 2*t_pivot*t_min of its range.  The start is the
+    previous witness, which settles most points of a fine grid at once;
+    a point it does not settle walks from q = 0 again, stepping through
+    the hits below its start without testing them.
     """
     witnesses: list[Solution | None] = []
     start = 1
+    pivot = min(range(cs.n), key=lambda i: cs.items[i][1])
+    # Every candidate is in the pivot's window, so test the pivot last and
+    # the other items from the tightest bound up: a miss shows sooner.
+    order = sorted(range(cs.n), key=lambda i: (i == pivot, cs.items[i][1]))
     for epsilon in grid:
         q_max = math.floor(cs.t_min / epsilon)
-        # Integer-only inner loop: |x - p/q| <= eps*t with x = xn/xd and
-        # eps*t = bn/bd becomes |xn*q - p*xd| * bd <= bn * xd * q.
+        # Integer form: |x - p/q| <= eps*t with x = xn/xd and eps*t = bn/bd
+        # becomes d * bd <= bn * xd * q with (p, d) = _nearest(xn, xd, q).
         items = []
-        for x, t in cs.items:
+        for i in order:
+            x, t = cs.items[i]
             bound = epsilon * t
-            items.append((x.numerator, x.denominator, bound.numerator, bound.denominator))
+            items.append((i, x.numerator, x.denominator, bound.numerator, bound.denominator))
+        _, pn, pd, pbn, pbd = items[-1]
         limit = min(q_max, max_scan)
-        for q in range(start, limit + 1):
-            ps = []
-            for xn, xd, bn, bd in items:
-                f, rem = divmod(xn * q, xd)
-                p = f + 1 if 2 * rem > xd else f
-                if abs(xn * q - p * xd) * bd > bn * xd * q:
+        # The walk is lazy: it starts only if start fails.
+        head = [start] if start <= limit else []
+        walk = _window_hits(pn, pd, start + 1, limit, lambda b: pbn * pd * b // pbd)
+        ps = [0] * cs.n
+        for q in itertools.chain(head, walk):
+            for i, xn, xd, bn, bd in items:
+                ps[i], d = _nearest(xn, xd, q)
+                if d * bd > bn * xd * q:
                     break
-                ps.append(p)
             else:
+                ps = tuple(ps)
                 witnesses.append(
-                    Solution(q, tuple(ps), _exact_errors(cs, q, ps), epsilon, "brute")
+                    Solution(q, ps, _exact_errors(cs, q, ps), epsilon, "brute")
                 )
                 start = q
                 break
@@ -323,6 +418,10 @@ def dirichlet_solve(
     Such a q exists by the pigeonhole argument, so an exhausted scan is
     reported as InternalError rather than infeasibility.  The recorded
     epsilon is 1/T, the guaranteed per-item scale (errors are <= 1/(Tq)).
+    The candidates are the q that :func:`_window_hits` yields for x_1
+    with the fixed window C = floor(xd/T), which is exactly the test
+    ||q*x_1|| <= 1/T; each gets the test of every item, and a scan visits
+    about 2/T of its range.
     """
     xs = tuple(Fraction(x) for x in xs)
     if not xs:
@@ -333,14 +432,11 @@ def dirichlet_solve(
     if q_max > max_scan:
         raise BudgetExceededError(f"T**n - 1 = {q_max} exceeds scan budget {max_scan}")
     items = tuple((x.numerator, x.denominator) for x in xs)
-    for q in range(1, q_max + 1):
-        for xn, xd in items:
-            rem = (xn * q) % xd
-            # ||q*x|| = min(rem, xd - rem) / xd <= 1/T
-            if min(rem, xd - rem) * T > xd:
-                break
-        else:
-            ps = tuple(best_numerator(x, q) for x in xs)
+    pn, pd = items[0]
+    for q in _window_hits(pn, pd, 1, q_max, lambda b: pd // T):
+        # ||q*x|| = _nearest(xn, xd, q)[1] / xd <= 1/T
+        if all(_nearest(xn, xd, q)[1] * T <= xd for xn, xd in items):
+            ps = tuple(_nearest(xn, xd, q)[0] for xn, xd in items)
             errors = tuple(abs(x - Fraction(p, q)) for x, p in zip(xs, ps))
             return Solution(q, ps, errors, Fraction(1, T), "dirichlet")
     raise InternalError(

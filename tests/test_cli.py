@@ -255,6 +255,39 @@ def test_constraint_file_with_utf8_bom(tmp_path, capsys):
     assert invoke(capsys, [*argv, str(bom)]) == expected
 
 
+def test_constraint_file_with_signed_constants(tmp_path, capsys):
+    argv = ["solve", "--epsilon", "1/100", "--input"]
+    code_p, out_p, _ = invoke(capsys, [*argv, write(tmp_path, "p.txt", "sqrt2 1\npi 1/2\n")])
+    code_n, out_n, _ = invoke(capsys, [*argv, write(tmp_path, "n.txt", "-sqrt2 1\n-pi 1/2\n")])
+    assert code_p == code_n == 0
+    pos, neg = json.loads(out_p), json.loads(out_n)
+    assert neg["q"] == pos["q"]
+    assert neg["ps"] == [-p for p in pos["ps"]]
+    assert neg["errors"] == pos["errors"]
+
+
+def test_oversized_literal_and_precision_fail_fast(tmp_path):
+    # The exponent is refused before Fraction builds 10**999999999.
+    ok = write(tmp_path, "x.txt", "1/3 1\n")
+    huge = write(tmp_path, "huge.txt", "1/3 1\n1e1_0000_0 1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for path, extra in (
+        (ok, ["--epsilon", "1e-999999999"]),
+        (ok, ["--epsilon", "1e-999_999_999"]),
+        (ok, ["--epsilon", "1/8", "--precision", "1000000000"]),
+        (huge, ["--epsilon", "1/8"]),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fareyapprox", "solve", "--input", path, *extra],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+
 def test_scan_budget_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
     monkeypatch.setenv("FAREY_APPROX_MAX_SCAN", "5")
@@ -302,6 +335,20 @@ def test_selftest_fault_injection(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "descending step gap" in out
+
+
+def test_selftest_catches_a_broken_oracle(capsys, monkeypatch):
+    import fareyapprox.simultaneous as simultaneous
+
+    walk = simultaneous._window_hits
+
+    def skip_odd(*args):
+        return (q for q in walk(*args) if q % 2 == 0)
+
+    monkeypatch.setattr(simultaneous, "_window_hits", skip_odd)
+    code, out, _ = invoke(capsys, ["selftest"])
+    assert code == 1
+    assert "oracle vs Fraction scan: FAIL" in out
 
 
 def test_sweep_determinism(tmp_path, capsys):

@@ -18,7 +18,12 @@ from fareyapprox import (
     parse_rational,
     parse_real,
 )
-from fareyapprox.rationals import _series
+from fareyapprox.rationals import (
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
+    MAX_PRECISION,
+    _series,
+)
 
 # First 50 decimals of pi and e, a well-known reference independent of the
 # implementation's digit source.
@@ -173,6 +178,37 @@ def test_parse_real_errors():
         parse_real("")
     with pytest.raises(InvalidInputError):
         parse_real("pi", 0)
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "sqrt3", "sqrt5", "phi", "e", "pi"])
+@pytest.mark.parametrize("precision", [1, 30, 64])
+def test_signed_constants_are_negated_standins(name, precision):
+    assert parse_real(f"-{name}", precision) == -parse_real(name, precision)
+    assert parse_real(f" -{name.upper()} ", precision) == -parse_real(name, precision)
+
+
+def test_literal_and_precision_bounds():
+    # At the limits parsing is immediate; one past them is refused before
+    # any big integer is built (1e-999999999 used to run for minutes).
+    assert parse_rational("1" * MAX_LITERAL_DIGITS) == F(int("1" * MAX_LITERAL_DIGITS))
+    assert parse_rational(f"1e-{MAX_LITERAL_EXPONENT}") == F(1, 10**MAX_LITERAL_EXPONENT)
+    assert parse_rational("1e-1_0") == F(1, 10**10)
+    assert parse_real("pi", MAX_PRECISION).denominator == 10**MAX_PRECISION
+    for text in (
+        "1" * (MAX_LITERAL_DIGITS + 1),
+        "1/" + "3" * MAX_LITERAL_DIGITS,
+        f"1e-{MAX_LITERAL_EXPONENT + 1}",
+        f"2.5E+{MAX_LITERAL_EXPONENT + 1}",
+        "1e-999999999",
+        "1e-999_999_999",
+        "1e1_0000_0",
+    ):
+        with pytest.raises(InvalidInputError):
+            parse_rational(text)
+        with pytest.raises(InvalidInputError):
+            parse_real(text)
+    with pytest.raises(InvalidInputError):
+        parse_real("1/3", MAX_PRECISION + 1)
 
 
 def test_format_round_trip():

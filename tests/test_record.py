@@ -1,0 +1,74 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from fareyapprox._record import record
+from fareyapprox.errors import InvalidInputError
+
+
+def make(decorator):
+    class Point:
+        x: F
+        y: int
+        label: str | None = None
+
+        def __post_init__(self):
+            if self.y < 0:
+                raise InvalidInputError("y must be nonnegative")
+
+    return decorator(Point)
+
+
+RecordPoint = make(record)
+DataPoint = make(dataclasses.dataclass(frozen=True))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((F(1, 2), 3), {}), ((F(1, 2),), {"y": 3, "label": "a"}), ((), {"label": None, "y": 0, "x": F(0)})],
+)
+def test_record_matches_frozen_dataclass(args, kwargs):
+    r, d = RecordPoint(*args, **kwargs), DataPoint(*args, **kwargs)
+    assert repr(r) == repr(d)
+    assert hash(r) == hash(d)
+    assert r == RecordPoint(*args, **kwargs) and r != d
+    assert (r.x, r.y, r.label) == (d.x, d.y, d.label)
+    with pytest.raises(AttributeError):
+        r.y = 1
+    with pytest.raises(AttributeError):
+        del r.x
+    assert RecordPoint(r.x, r.y + 1, r.label) != r
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {"x": F(1)}), ((F(1), 2, "a", 4), {}), ((F(1),), {"x": F(1), "y": 2}), ((F(1), 2), {"z": 3})],
+)
+def test_record_rejects_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError):
+        RecordPoint(*args, **kwargs)
+
+
+def test_record_runs_post_init():
+    with pytest.raises(InvalidInputError):
+        RecordPoint(F(1), -1)
+
+
+def test_package_import_loads_no_dataclasses():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, fareyapprox.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fareyapprox.simultaneous as simultaneous
 from fareyapprox import (
     DEFAULT_MAX_SCAN,
     BudgetExceededError,
@@ -236,6 +237,96 @@ def test_dirichlet_validation_and_budget():
         dirichlet_solve([F(1, 2)], 1)
     with pytest.raises(BudgetExceededError):
         dirichlet_solve([SQRT2_50, PHI_50], 20, max_scan=10)
+
+
+@st.composite
+def window_walks(draw):
+    # Denominators 1..3 and target 0 are the corner cases; the window runs
+    # from a single residue (C = 0) to the whole circle.
+    xd = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400), st.integers(1, 10**15)))
+    x = F(draw(st.integers(-3 * xd, 3 * xd)), xd)
+    hi = draw(st.integers(0, 1500))
+    lo = draw(st.integers(1, hi + 1))
+    if draw(st.booleans()):
+        c = draw(st.one_of(st.integers(0, 3), st.integers(0, x.denominator)))
+        width = lambda b: c  # noqa: E731
+    else:
+        bn, bd = draw(st.integers(0, 4)), draw(st.integers(1, 4000))
+        width = lambda b: bn * x.denominator * b // bd  # noqa: E731
+    return x.numerator, x.denominator, lo, hi, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(window_walks())
+def test_window_hits_equal_linear_filter(walk):
+    xn, xd, lo, hi, width = walk
+    expected = []
+    for q in range(lo, hi + 1):
+        r = xn * q % xd
+        if min(r, xd - r) <= width(min((1 << q.bit_length()) - 1, hi)):
+            expected.append(q)
+    assert list(simultaneous._window_hits(xn, xd, lo, hi, width)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.builds(F, st.integers(-40, 40), st.integers(1, 60)),
+            st.sampled_from([SQRT2_50, PHI_50, parse_real("pi", 30)]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(2, 12),
+)
+def test_dirichlet_matches_linear_scan(xs, T):
+    q = next(
+        q for q in range(1, T ** len(xs))
+        if all(nearest_int_distance(q * x) <= F(1, T) for x in xs)
+    )
+    sol = dirichlet_solve(xs, T)
+    ps = tuple(best_numerator(x, q) for x in xs)
+    assert (sol.q, sol.ps) == (q, ps)
+    assert sol.errors == tuple(abs(x - F(p, q)) for x, p in zip(xs, ps))
+
+
+def test_oracle_visits_few_denominators(monkeypatch):
+    # n = 6, t_min = 1/10, range 10**5, infeasible: walking the item with
+    # the smallest t should offer about 2*t_min**2 = 2% of the range, where
+    # the first item (t = 1) would offer 20% and a full scan all of it.
+    visited = []
+    walk = simultaneous._window_hits
+
+    def counting(*args):
+        for q in walk(*args):
+            visited.append(q)
+            yield q
+
+    monkeypatch.setattr(simultaneous, "_window_hits", counting)
+    names = ("sqrt2", "sqrt3", "sqrt5", "phi", "e", "pi")
+    c = cs(*[(parse_real(name, 64), F(1, 10) if i else F(1)) for i, name in enumerate(names)])
+    assert isinstance(brute_force_solve(c, F(1, 10**6)), Infeasible)
+    assert 0 < len(visited) < 0.03 * 10**5
+
+
+def test_sweep_tries_previous_witness_first(monkeypatch):
+    # 200 points share 7 witnesses: each point first tests the witness of
+    # the one before, so a walk runs only where the witness changes.
+    visited = []
+    walk = simultaneous._window_hits
+
+    def counting(*args):
+        for q in walk(*args):
+            visited.append(q)
+            yield q
+
+    monkeypatch.setattr(simultaneous, "_window_hits", counting)
+    c = cs((SQRT2_50, F(1)), (parse_real("sqrt3", 50), F(1)))
+    rep = epsilon_threshold(c, [F(1, k) for k in range(10, 1010, 5)])
+    assert all(rep.feasible)
+    assert len({w.q for w in rep.witnesses}) == 7
+    assert len(visited) < 50
 
 
 def test_epsilon_threshold_examples():
