@@ -16,7 +16,8 @@ def record(cls: type) -> type:
     calls ``__post_init__``, if the class has one (which may set a field
     with ``object.__setattr__``).  Records are equal when their classes
     and fields are, hash by their fields, print as ``Name(field=value,
-    ...)``, and refuse assignment to any attribute.
+    ...)``, and refuse assignment to any attribute.  ``cls._fields`` is
+    the tuple of field names, in order.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
@@ -63,4 +64,5 @@ def record(cls: type) -> type:
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls._fields = fields
     return cls

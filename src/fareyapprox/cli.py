@@ -38,6 +38,8 @@ from .simultaneous import (
 )
 
 _SCAN_ENV = "FAREY_APPROX_MAX_SCAN"
+# Cap on generated sweep grids and default cap on subdivision points.
+_MAX_POINTS = 10_000
 
 
 def _max_scan() -> int:
@@ -80,21 +82,25 @@ def _emit_json(obj: dict, precision: int) -> None:
     sys.stdout.write(json.dumps({**obj, "precision": precision}, indent=2) + "\n")
 
 
-def _solution_json(sol: Solution) -> dict:
-    obj = {
-        "method": sol.method,
-        "q": sol.q,
-        "ps": list(sol.ps),
-        "errors": [format_rational(e) for e in sol.errors],
-        "epsilon": format_rational(sol.epsilon),
-    }
-    if sol.satisfies_constraints is not None:
-        obj["satisfies_constraints"] = sol.satisfies_constraints
+def _json(value: object) -> object:
+    # A record becomes an object of its fields in order, except that a
+    # Solution lists its method first and shows satisfies_constraints only
+    # when it is set, and an Infeasible is flagged as such.
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, Infeasible):
+        return {"infeasible": True, "reason": value.reason}
+    fields = getattr(value, "_fields", None)
+    if fields is None:
+        return value
+    obj = {name: _json(getattr(value, name)) for name in fields}
+    if isinstance(value, Solution):
+        obj = {"method": obj.pop("method"), **obj}
+        if value.satisfies_constraints is None:
+            del obj["satisfies_constraints"]
     return obj
-
-
-def _infeasible_json(inf: Infeasible) -> dict:
-    return {"infeasible": True, "reason": inf.reason}
 
 
 def _parse_positive_epsilon(text: str) -> Fraction:
@@ -129,6 +135,8 @@ def _build_grid(args) -> tuple[Fraction, ...]:
         count = args.points
         if count < 2 or bottom >= top:
             raise InvalidInputError("need --points >= 2 and --eps-min < --eps-max")
+        if count > _MAX_POINTS:
+            raise InvalidInputError(f"--points is capped at {_MAX_POINTS}")
         if args.geometric:
             # Exact-rational ratio approximating (bottom/top)**(1/(count-1));
             # endpoints are kept exact.
@@ -139,7 +147,19 @@ def _build_grid(args) -> tuple[Fraction, ...]:
             if root < 1:
                 raise InvalidInputError("geometric grid too extreme for the fixed ratio scale")
             ratio = Fraction(root, scale)
-            points = tuple(top * ratio**k for k in range(m)) + (bottom,)
+            # Point k has a denominator of up to 24*k digits; stop at the
+            # first one that str() refuses to print.
+            points = [top]
+            for _ in range(m - 1):
+                points.append(points[-1] * ratio)
+                try:
+                    format_rational(points[-1])
+                except ValueError:
+                    raise InvalidInputError(
+                        f"geometric grid point {len(points)} has too many digits to print; "
+                        "use fewer --points"
+                    ) from None
+            points = tuple(points) + (bottom,)
         else:
             span = top - bottom
             points = tuple(
@@ -213,10 +233,9 @@ def _cmd_solve(args) -> int:
     else:
         result = brute_force_solve(cs, eps, max_scan=_max_scan())
     infeasible = isinstance(result, Infeasible)
+    obj = _json(result)
     if infeasible:
-        obj = {**_infeasible_json(result), "epsilon": format_rational(eps)}
-    else:
-        obj = _solution_json(result)
+        obj["epsilon"] = format_rational(eps)
     _emit_json(obj, args.precision)
     return 2 if infeasible else 0
 
@@ -224,9 +243,7 @@ def _cmd_solve(args) -> int:
 def _cmd_dirichlet(args) -> int:
     cs = _read_constraints(args.input, args.precision)
     sol = dirichlet_solve(cs.xs, args.T, max_scan=_max_scan())
-    obj = _solution_json(sol)
-    obj["T"] = args.T
-    _emit_json(obj, args.precision)
+    _emit_json({**_json(sol), "T": args.T}, args.precision)
     return 0
 
 
@@ -245,17 +262,7 @@ def _cmd_sweep(args) -> int:
                 )
         sys.stdout.write("\n".join(rows) + "\n")
     else:
-        _emit_json(
-            {
-                "grid": [format_rational(g) for g in report.grid],
-                "feasible": list(report.feasible),
-                "epsilon0": None if report.epsilon0 is None else format_rational(report.epsilon0),
-                "witnesses": [
-                    None if w is None else _solution_json(w) for w in report.witnesses
-                ],
-            },
-            args.precision,
-        )
+        _emit_json(_json(report), args.precision)
     return 0 if report.epsilon0 is not None else 2
 
 
@@ -263,28 +270,7 @@ def _cmd_compare(args) -> int:
     cs = _read_constraints(args.input, args.precision)
     eps = _parse_positive_epsilon(args.epsilon)
     report = compare(cs, eps, args.T, max_scan=_max_scan())
-    constrained = (
-        _solution_json(report.constrained)
-        if isinstance(report.constrained, Solution)
-        else _infeasible_json(report.constrained)
-    )
-    _emit_json(
-        {
-            "epsilon": format_rational(report.epsilon),
-            "constrained": constrained,
-            "dirichlet_T": report.dirichlet_T,
-            "dirichlet": _solution_json(report.dirichlet),
-            "q_bound_constrained": format_rational(report.q_bound_constrained),
-            "q_bound_dirichlet": report.q_bound_dirichlet,
-            "max_error_constrained": (
-                None
-                if report.max_error_constrained is None
-                else format_rational(report.max_error_constrained)
-            ),
-            "max_error_dirichlet": format_rational(report.max_error_dirichlet),
-        },
-        args.precision,
-    )
+    _emit_json(_json(report), args.precision)
     return 0
 
 
@@ -326,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--gap", required=True, help="upper bound for consecutive gaps")
     p.add_argument("--max-denom", type=int, default=None)
-    p.add_argument("--max-points", type=int, default=10_000)
+    p.add_argument("--max-points", type=int, default=_MAX_POINTS)
     _add_precision(p)
     p.set_defaults(func=_cmd_subdivide)
 

@@ -36,8 +36,8 @@ def _gap_identity_failures(base: farey.FareyPair) -> list[str]:
 
 
 def _fixed_instances() -> list[tuple[simultaneous.ConstraintSet, Fraction]]:
-    # 20 deterministic instances mixing exact rationals and 30-digit
-    # stand-ins, n between 1 and 3.
+    # 20 deterministic feasible instances mixing exact rationals and 30-digit
+    # stand-ins, n between 1 and 3, then 4 infeasible ones.
     standins = [parse_real(name, 30) - 1 for name in ("sqrt2", "sqrt3", "phi")]
     standins += [parse_real("sqrt5", 30) - 2, parse_real("pi", 30) - 3, parse_real("e", 30) - 2]
     pool = [
@@ -59,6 +59,14 @@ def _fixed_instances() -> list[tuple[simultaneous.ConstraintSet, Fraction]]:
             t = weights[(k + j) % len(weights)]
             items.append((x, t))
         instances.append((simultaneous.ConstraintSet(tuple(items)), epsilons[k % len(epsilons)]))
+    half = Fraction(1, 2)
+    for xs, eps in (
+        ((Fraction(3, 7),), Fraction(1, 8)),
+        ((standins[2], Fraction(2, 7)), Fraction(1, 16)),
+        (standins[:3], Fraction(1, 32)),
+        (standins[3:], Fraction(1, 16)),
+    ):
+        instances.append((simultaneous.ConstraintSet(tuple((x, half) for x in xs)), eps))
     return instances
 
 
@@ -72,73 +80,63 @@ def _fraction_scan(cs: simultaneous.ConstraintSet, eps: Fraction) -> tuple | Non
     return None
 
 
-def run_selftest(stream: TextIO = sys.stdout) -> int:
-    """Run all checks, print one line per group plus a summary; 0 iff clean."""
-    checks = 0
-    failures: list[str] = []
-
+def _groups():
+    # Each check group as (label, detail, checks run, failure lines).
     for order in _PROPERTY_ORDERS:
         report = farey.verify_farey_properties(order)
-        for name, check in report.checks():
-            checks += 1
-            if not check.passed:
-                failures.append(f"farey property {name} at order {order}: {check.counterexample}")
-        status = "ok" if report.all_passed else "FAIL"
-        stream.write(f"farey properties order={order}: {status} (4 properties)\n")
+        checks = list(report.checks())
+        failures = [
+            f"farey property {name} at order {order}: {check.counterexample}"
+            for name, check in checks
+            if not check.passed
+        ]
+        yield f"farey properties order={order}", "4 properties", len(checks), failures
 
     bases = [farey.FareyPair(Fraction(0), Fraction(1), 1)]
     seq = list(farey.farey_sequence(8))
     bases += [farey.FareyPair(a, b, 8) for a, b in zip(seq, seq[1:])]
-    gap_failures: list[str] = []
-    for base in bases:
-        gap_failures.extend(_gap_identity_failures(base))
-        checks += 4 * len(_GAP_INDICES)
-    failures.extend(gap_failures)
-    status = "ok" if not gap_failures else "FAIL"
-    stream.write(
-        f"gap identities: {status} ({4 * len(_GAP_INDICES) * len(bases)} identities "
-        f"over {len(bases)} base pairs)\n"
-    )
+    failures = [line for base in bases for line in _gap_identity_failures(base)]
+    count = 4 * len(_GAP_INDICES) * len(bases)
+    yield "gap identities", f"{count} identities over {len(bases)} base pairs", count, failures
 
     instances = _fixed_instances()
+    oracles = [simultaneous.brute_force_solve(cs, eps) for cs, eps in instances]
     satisfied = 0
-    cross_failures: list[str] = []
-    for idx, (cs, eps) in enumerate(instances):
-        checks += 1
+    failures = []
+    for idx, ((cs, eps), oracle) in enumerate(zip(instances, oracles)):
         composed = simultaneous.compose_solve(cs, eps)
         if not composed.satisfies_constraints:
             continue
         satisfied += 1
         if not simultaneous.check_solution(cs, eps, composed.q, composed.ps).overall:
-            cross_failures.append(f"instance {idx}: satisfied flag not confirmed by checker")
-            continue
-        oracle = simultaneous.brute_force_solve(cs, eps)
-        if not isinstance(oracle, simultaneous.Solution):
-            cross_failures.append(f"instance {idx}: compose satisfied but oracle found nothing")
+            failures.append(f"instance {idx}: satisfied flag not confirmed by checker")
+        elif not isinstance(oracle, simultaneous.Solution):
+            failures.append(f"instance {idx}: compose satisfied but oracle found nothing")
         elif oracle.q > composed.q:
-            cross_failures.append(f"instance {idx}: oracle q {oracle.q} > compose q {composed.q}")
-    failures.extend(cross_failures)
-    status = "ok" if not cross_failures else "FAIL"
-    stream.write(
-        f"compose vs oracle: {status} ({len(instances)} instances, {satisfied} satisfied)\n"
-    )
+            failures.append(f"instance {idx}: oracle q {oracle.q} > compose q {composed.q}")
+    detail = f"{len(instances)} instances, {satisfied} satisfied"
+    yield "compose vs oracle", detail, len(instances), failures
 
     feasible = 0
-    oracle_failures: list[str] = []
-    for idx, (cs, eps) in enumerate(instances):
-        checks += 1
+    failures = []
+    for idx, ((cs, eps), found) in enumerate(zip(instances, oracles)):
         expected = _fraction_scan(cs, eps)
         feasible += expected is not None
-        found = simultaneous.brute_force_solve(cs, eps)
         got = (found.q, found.ps) if isinstance(found, simultaneous.Solution) else None
         if got != expected:
-            oracle_failures.append(f"instance {idx}: oracle gives {got}, Fraction scan {expected}")
-    failures.extend(oracle_failures)
-    status = "ok" if not oracle_failures else "FAIL"
-    stream.write(
-        f"oracle vs Fraction scan: {status} ({len(instances)} instances, {feasible} feasible)\n"
-    )
+            failures.append(f"instance {idx}: oracle gives {got}, Fraction scan {expected}")
+    detail = f"{len(instances)} instances, {feasible} feasible"
+    yield "oracle vs Fraction scan", detail, len(instances), failures
 
+
+def run_selftest(stream: TextIO = sys.stdout) -> int:
+    """Run all checks, print one line per group plus a summary; 0 iff clean."""
+    checks = 0
+    failures: list[str] = []
+    for label, detail, count, group_failures in _groups():
+        checks += count
+        failures.extend(group_failures)
+        stream.write(f"{label}: {'FAIL' if group_failures else 'ok'} ({detail})\n")
     for line in failures:
         stream.write(f"FAIL {line}\n")
     verdict = "all passed" if not failures else f"{len(failures)} failed"

@@ -13,20 +13,22 @@ checked against.  :func:`dirichlet_solve` is the classical pigeonhole
 baseline (error <= 1/(Tq) with q < T**n), whose denominator bound blows
 up exponentially in n; :func:`compare` puts the two side by side.
 :func:`epsilon_threshold` sweeps a grid of eps values and reports the
-empirical feasibility frontier; it shares the oracle's exact scan: a q that
-misses the error bounds at some eps misses them at every smaller eps, so
-one ascending scan over q finds the smallest witness of every grid point
-at once (the witnesses are records of max_i ||q*x_i|| / (q*t_i), the best
-simultaneous approximations of Lagarias 1982).
+empirical feasibility frontier with the oracle's scan, run once per
+point: a q that misses the error bounds at some eps misses them at every
+smaller eps, so each point starts at the previous point's witness (the
+witnesses are records of max_i ||q*x_i|| / (q*t_i), the best simultaneous
+approximations of Lagarias 1982).  A point that witness does not settle
+walks from q = 0 again.
 
-Neither scan tests every q of its range.  A q that fits every item fits
-one pivot item, and the q whose ||q*x|| lies in a window are the return
-times of the rotation q -> q*x mod 1 to an interval, which by the
-three-gap theorem (Sós 1958; Slater 1967) follow each other by one of
-three gaps.  :func:`_window_hits` steps from one such q to the next in a
-few integer operations, with a window that contains every q the exact
-test can accept; each q it yields then goes through the exact integer
-test of every item, so the answers are those of a full scan.
+No scan tests every q of its range.  A q that fits every item fits one
+pivot item, and the q whose ||q*x|| lies in a window are the return times
+of the rotation q -> q*x mod 1 to an interval, which by the three-gap
+theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
+:func:`_window_hits` steps from one such q to the next in a few integer
+operations, with a window that contains every q the exact test can
+accept.  :func:`_first_fit`, the one scan of the oracle, the sweep and the
+baseline, puts each q it yields through the exact integer test of every
+item, so the answers are those of a full scan.
 """
 
 from __future__ import annotations
@@ -181,8 +183,8 @@ def check_solution(
     return CheckReport(tuple(per_item), denom_ok, overall)
 
 
-def _exact_errors(cs: ConstraintSet, q: int, ps: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(abs(x - Fraction(p, q)) for (x, _), p in zip(cs.items, ps))
+def _exact_errors(xs: Sequence[Fraction], q: int, ps: Sequence[int]) -> tuple[Fraction, ...]:
+    return tuple(abs(x - Fraction(p, q)) for x, p in zip(xs, ps))
 
 
 def _nearest(xn: int, xd: int, q: int) -> tuple[int, int]:
@@ -253,6 +255,34 @@ def _window_hits(
         k += 1
 
 
+def _first_fit(
+    items: Sequence[tuple[int, int, int, int, int, int]], lo: int, hi: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest q in lo..hi whose nearest numerators fit every item, or None.
+
+    An item (i, xn, xd, a, c, den) fits q when d * den <= a*q + c, where
+    (p, d) = _nearest(xn, xd, q); its numerator p is the i-th of the
+    returned ones.  The candidates are lo, then the q above it that
+    :func:`_window_hits` yields for the last item, with the half-width
+    (a*b + c) // den for the block ending at b: every q <= b that fits
+    that item lies in this window, so no fit is missed.  The walk is lazy,
+    so it starts only if lo fails.
+    """
+    if lo > hi:
+        return None
+    _, wn, wd, wa, wc, wden = items[-1]
+    walk = _window_hits(wn, wd, lo + 1, hi, lambda b: (wa * b + wc) // wden)
+    ps = [0] * len(items)
+    for q in itertools.chain((lo,), walk):
+        for i, xn, xd, a, c, den in items:
+            ps[i], d = _nearest(xn, xd, q)
+            if d * den > a * q + c:
+                break
+        else:
+            return q, tuple(ps)
+    return None
+
+
 def _smallest_witnesses(
     cs: ConstraintSet,
     grid: Sequence[Fraction],
@@ -260,24 +290,21 @@ def _smallest_witnesses(
 ) -> list[Solution | None]:
     """Smallest-q solution for each point of a strictly descending grid.
 
-    One ascending pass over q serves every point.  A q that fails the
-    error bounds at some eps fails them at every smaller eps, so point k
-    resumes where point k-1 stopped: at the witness of k-1 (which is
-    tested again) or past its range.  No point is skipped, because
-    feasibility is not monotone in eps (a large eps can have an empty
-    range while smaller ones are feasible).  The first point, in grid
-    order, whose range exceeds ``max_scan`` and that has no witness
-    within it raises BudgetExceededError, as a per-point scan would.
+    A q that fails the error bounds at some eps fails them at every smaller
+    eps, so point k needs no q below the witness of point k-1, or below
+    the end of its range when it had none.  Each point therefore starts at
+    that q, which it tests first and which settles most points of a fine
+    grid at once; a point it does not settle walks from q = 0 again,
+    stepping through the hits below its start without testing them.  No
+    point is skipped, because feasibility is not monotone in eps (a large
+    eps can have an empty range while smaller ones are feasible).  The
+    first point, in grid order, whose range exceeds ``max_scan`` and that
+    has no witness within it raises BudgetExceededError, as a per-point
+    scan would.
 
-    The candidates of a point are its start, then the q above it that
-    :func:`_window_hits` yields for the pivot item, the first with the
-    smallest t_i.  Its window is C = floor(bn*xd*b/bd) for the block ending
-    at b, which holds every q <= b that fits the pivot, so no solution is
-    missed; each candidate then gets the exact test of every item.  A scan
-    visits at most about 2*t_pivot*t_min of its range.  The start is the
-    previous witness, which settles most points of a fine grid at once;
-    a point it does not settle walks from q = 0 again, stepping through
-    the hits below its start without testing them.
+    :func:`_first_fit` walks the window of the pivot item, the first with
+    the smallest t_i, so a scan visits at most about 2*t_pivot*t_min of
+    its range.
     """
     witnesses: list[Solution | None] = []
     start = 1
@@ -287,38 +314,27 @@ def _smallest_witnesses(
     order = sorted(range(cs.n), key=lambda i: (i == pivot, cs.items[i][1]))
     for epsilon in grid:
         q_max = math.floor(cs.t_min / epsilon)
+        limit = min(q_max, max_scan)
         # Integer form: |x - p/q| <= eps*t with x = xn/xd and eps*t = bn/bd
         # becomes d * bd <= bn * xd * q with (p, d) = _nearest(xn, xd, q).
         items = []
         for i in order:
             x, t = cs.items[i]
             bound = epsilon * t
-            items.append((i, x.numerator, x.denominator, bound.numerator, bound.denominator))
-        _, pn, pd, pbn, pbd = items[-1]
-        limit = min(q_max, max_scan)
-        # The walk is lazy: it starts only if start fails.
-        head = [start] if start <= limit else []
-        walk = _window_hits(pn, pd, start + 1, limit, lambda b: pbn * pd * b // pbd)
-        ps = [0] * cs.n
-        for q in itertools.chain(head, walk):
-            for i, xn, xd, bn, bd in items:
-                ps[i], d = _nearest(xn, xd, q)
-                if d * bd > bn * xd * q:
-                    break
-            else:
-                ps = tuple(ps)
-                witnesses.append(
-                    Solution(q, ps, _exact_errors(cs, q, ps), epsilon, "brute")
-                )
-                start = q
-                break
-        else:
-            if q_max > max_scan:
-                raise BudgetExceededError(
-                    f"scan budget exhausted after {max_scan} of {q_max} denominators"
-                )
-            witnesses.append(None)
-            start = max(start, limit + 1)
+            xn, xd = x.numerator, x.denominator
+            items.append((i, xn, xd, bound.numerator * xd, 0, bound.denominator))
+        fit = _first_fit(items, start, limit)
+        if fit is not None:
+            q, ps = fit
+            witnesses.append(Solution(q, ps, _exact_errors(cs.xs, q, ps), epsilon, "brute"))
+            start = q
+            continue
+        if q_max > max_scan:
+            raise BudgetExceededError(
+                f"scan budget exhausted after {max_scan} of {q_max} denominators"
+            )
+        witnesses.append(None)
+        start = max(start, limit + 1)
     return witnesses
 
 
@@ -401,7 +417,7 @@ def compose_solve(
     return Solution(
         q,
         ps_t,
-        _exact_errors(cs, q, ps_t),
+        _exact_errors(cs.xs, q, ps_t),
         epsilon,
         "compose",
         satisfies_constraints=report.overall,
@@ -418,10 +434,9 @@ def dirichlet_solve(
     Such a q exists by the pigeonhole argument, so an exhausted scan is
     reported as InternalError rather than infeasibility.  The recorded
     epsilon is 1/T, the guaranteed per-item scale (errors are <= 1/(Tq)).
-    The candidates are the q that :func:`_window_hits` yields for x_1
-    with the fixed window C = floor(xd/T), which is exactly the test
-    ||q*x_1|| <= 1/T; each gets the test of every item, and a scan visits
-    about 2/T of its range.
+    :func:`_first_fit` walks the window of the last target x_n, the fixed
+    C = floor(xd/T), which is exactly the test ||q*x_n|| <= 1/T, so a scan
+    visits about 2/T of its range.
     """
     xs = tuple(Fraction(x) for x in xs)
     if not xs:
@@ -431,14 +446,12 @@ def dirichlet_solve(
     q_max = T ** len(xs) - 1
     if q_max > max_scan:
         raise BudgetExceededError(f"T**n - 1 = {q_max} exceeds scan budget {max_scan}")
-    items = tuple((x.numerator, x.denominator) for x in xs)
-    pn, pd = items[0]
-    for q in _window_hits(pn, pd, 1, q_max, lambda b: pd // T):
-        # ||q*x|| = _nearest(xn, xd, q)[1] / xd <= 1/T
-        if all(_nearest(xn, xd, q)[1] * T <= xd for xn, xd in items):
-            ps = tuple(_nearest(xn, xd, q)[0] for xn, xd in items)
-            errors = tuple(abs(x - Fraction(p, q)) for x, p in zip(xs, ps))
-            return Solution(q, ps, errors, Fraction(1, T), "dirichlet")
+    # ||q*x|| <= 1/T is d * T <= xd with (p, d) = _nearest(xn, xd, q).
+    items = [(i, x.numerator, x.denominator, 0, x.denominator, T) for i, x in enumerate(xs)]
+    fit = _first_fit(items, 1, q_max)
+    if fit is not None:
+        q, ps = fit
+        return Solution(q, ps, _exact_errors(xs, q, ps), Fraction(1, T), "dirichlet")
     raise InternalError(
         f"no q in 1..{q_max} with all distances <= 1/{T}; "
         "this contradicts the pigeonhole guarantee for exact inputs"
@@ -453,9 +466,11 @@ def epsilon_threshold(
     """Decide every grid point exactly and locate the feasible suffix.
 
     The grid must be strictly descending and positive.  Each point gets
-    the witness :func:`brute_force_solve` would return for it, but all
-    points share one ascending scan over q, so a sweep costs one scan to
-    the largest q any point needs rather than one scan per point.
+    the witness :func:`brute_force_solve` would return for it.  A point
+    first tests the previous point's witness, which settles most points
+    of a fine grid; a point it does not settle walks from q = 0 to its
+    witness or to the end of its range, so a sweep costs one walk per such
+    point.
     Feasibility is reported pointwise (no monotonicity in eps is
     assumed); epsilon0 is the top of the unbroken feasible suffix, if
     any.  BudgetExceededError is raised for the first point whose range

@@ -217,6 +217,26 @@ def test_sweep_grid_validation(tmp_path, capsys):
     assert code == 1 and "descending" in err
     code, _, err = invoke(capsys, ["sweep", "--input", path])
     assert code == 1
+    code, out, err = invoke(
+        capsys,
+        ["sweep", "--input", path, "--eps-max", "1/2", "--eps-min", "1/8", "--points", "10001"],
+    )
+    assert code == 1 and out == "" and "capped" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_sweep_geometric_grid_too_long_to_print(tmp_path, capsys):
+    # Point k of a geometric grid has a denominator of up to 24*k digits;
+    # with 200 points here, str() refuses to print the last ones.
+    sqrt2 = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
+    argv = ["sweep", "--input", sqrt2, "--eps-max", "1/10", "--eps-min", "1/1000",
+            "--geometric", "--points"]
+    assert invoke(capsys, [*argv, "181"])[0] == 0
+    code, out, err = invoke(capsys, [*argv, "200"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_compare_command(tmp_path, capsys):
@@ -351,6 +371,20 @@ def test_selftest_catches_a_broken_oracle(capsys, monkeypatch):
     assert "oracle vs Fraction scan: FAIL" in out
 
 
+def test_selftest_catches_an_oracle_scanning_past_its_range(capsys, monkeypatch):
+    import fareyapprox.simultaneous as simultaneous
+
+    walk = simultaneous._window_hits
+
+    def overshoot(xn, xd, lo, hi, width):
+        return walk(xn, xd, lo, 2 * hi, width)
+
+    monkeypatch.setattr(simultaneous, "_window_hits", overshoot)
+    code, out, _ = invoke(capsys, ["selftest"])
+    assert code == 1
+    assert "oracle vs Fraction scan: FAIL" in out
+
+
 def test_sweep_determinism(tmp_path, capsys):
     path = write(tmp_path, "mix.txt", "sqrt2 1\n1/3 1\n")
     argv = ["sweep", "--input", path, "--grid", "1/2,1/4,1/8,1/16"]
@@ -370,3 +404,84 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0/1", "1/2", "1/1"]
+
+
+_SQRT2_ERROR = (
+    "73593128807148535949338273709057642909843738691557804699607863/"
+    "30000000000000000000000000000000000000000000000000000000000000000"
+)
+
+
+def _sol(method, q, ps, errors, epsilon, **extra):
+    return {"method": method, "q": q, "ps": ps, "errors": errors, "epsilon": epsilon, **extra}
+
+
+_INFEASIBLE_3_7 = {"infeasible": True, "reason": "no feasible denominator in 1..4"}
+_GOLDEN_FILES = {"pair.txt": "1/3 1\n2/3 1\n", "hard.txt": "3/7 1/2\n", "mix.txt": "sqrt2 1\n1/3 1\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ["compare", "--input", "pair.txt", "--epsilon", "1/10", "--T", "4"],
+            0,
+            {
+                "epsilon": "1/10",
+                "constrained": _sol("brute", 3, [1, 2], ["0/1", "0/1"], "1/10"),
+                "dirichlet_T": 4,
+                "dirichlet": _sol("dirichlet", 3, [1, 2], ["0/1", "0/1"], "1/4"),
+                "q_bound_constrained": "10/1",
+                "q_bound_dirichlet": 16,
+                "max_error_constrained": "0/1",
+                "max_error_dirichlet": "0/1",
+            },
+        ),
+        (
+            ["compare", "--input", "hard.txt", "--epsilon", "1/8", "--T", "3"],
+            0,
+            {
+                "epsilon": "1/8",
+                "constrained": _INFEASIBLE_3_7,
+                "dirichlet_T": 3,
+                "dirichlet": _sol("dirichlet", 2, [1], ["1/14"], "1/3"),
+                "q_bound_constrained": "4/1",
+                "q_bound_dirichlet": 3,
+                "max_error_constrained": None,
+                "max_error_dirichlet": "1/14",
+            },
+        ),
+        (
+            ["sweep", "--input", "hard.txt", "--grid", "1/2,1/4,1/8"],
+            2,
+            {
+                "grid": ["1/2", "1/4", "1/8"],
+                "feasible": [False, True, False],
+                "epsilon0": None,
+                "witnesses": [None, _sol("brute", 2, [1], ["1/14"], "1/4"), None],
+            },
+        ),
+        (
+            ["solve", "--input", "hard.txt", "--epsilon", "1/8"],
+            2,
+            {**_INFEASIBLE_3_7, "epsilon": "1/8"},
+        ),
+        (
+            ["solve", "--input", "pair.txt", "--epsilon", "1/10", "--method", "compose"],
+            0,
+            _sol("compose", 3, [1, 2], ["0/1", "0/1"], "1/10", satisfies_constraints=True),
+        ),
+        (
+            ["dirichlet", "--input", "mix.txt", "--T", "5"],
+            0,
+            {**_sol("dirichlet", 12, [17, 4], [_SQRT2_ERROR, "0/1"], "1/5"), "T": 5},
+        ),
+    ],
+)
+def test_json_output_bytes(tmp_path, capsys, argv, code, expected):
+    # Pins whole stdout: key order, indentation and the trailing precision.
+    for name, text in _GOLDEN_FILES.items():
+        write(tmp_path, name, text)
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    out = json.dumps({**expected, "precision": 64}, indent=2) + "\n"
+    assert invoke(capsys, argv) == (code, out, "")
