@@ -173,9 +173,7 @@ def _build_grid(args) -> tuple[Fraction, ...]:
 def _cmd_farey(args) -> int:
     lo = parse_rational(args.lo) if args.lo is not None else None
     hi = parse_rational(args.hi) if args.hi is not None else None
-    for term in farey_sequence(args.order):
-        if lo is not None and term < lo:
-            continue
+    for term in farey_sequence(args.order, lo):
         if hi is not None and term > hi:
             break
         sys.stdout.write(format_rational(term) + "\n")

@@ -86,9 +86,9 @@ class PropertyReport:
         return all(check.passed for _, check in self.checks())
 
 
-def _int_pairs(order: int) -> Iterator[tuple[int, int]]:
-    # Next-term recurrence on raw (h, k) pairs, seeded with 0/1, 1/order.
-    a, b, c, d = 0, 1, 1, order
+def _int_pairs(order: int, a: int, b: int, c: int, d: int) -> Iterator[tuple[int, int]]:
+    # Next-term recurrence on raw (h, k) pairs, from the seed a/b, c/d (two
+    # consecutive terms of F_order, or see _seed_below) on to 1/1.
     yield a, b
     while c <= order:
         k = (order + b) // d
@@ -96,10 +96,38 @@ def _int_pairs(order: int) -> Iterator[tuple[int, int]]:
         yield a, b
 
 
-def farey_sequence(order: int) -> Iterator[Fraction]:
-    """Yield all of F_order in increasing order, from 0/1 to 1/1."""
+def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
+    # A seed a/b, c/d for _int_pairs whose c/d is the first term >= lo of
+    # F_order, for 0 < lo <= 1.
+    found = farey_neighbors(lo, order)
+    if isinstance(found, FareyPair):
+        left, right = found.left, found.right
+        return left.numerator, left.denominator, right.numerator, right.denominator
+    # lo = h/k is a term.  Take a, b with h*b - k*a = 1 and 0 <= b < k: the
+    # predecessor of h/k is (a + t*h)/(b + t*k) for some t >= 0, and the
+    # recurrence steps from either to the same next term (its multiplier
+    # (order + b) // k grows by t, which cancels).
+    h, k = found.value.numerator, found.value.denominator
+    b = pow(h, -1, k)
+    return (h * b - 1) // k, b, h, k
+
+
+def farey_sequence(order: int, lo: Fraction | None = None) -> Iterator[Fraction]:
+    """Yield F_order in increasing order, from 0/1 to 1/1.
+
+    With ``lo``, the listing starts at the first term >= lo: the next-term
+    recurrence is seeded at lo by :func:`farey_neighbors`, so no term
+    below lo is built.
+    """
     _require_order(order)
-    for h, k in _int_pairs(order):
+    if lo is None or lo <= 0:
+        pairs = _int_pairs(order, 0, 1, 1, order)
+    elif lo <= 1:
+        pairs = _int_pairs(order, *_seed_below(lo, order))
+        next(pairs)
+    else:
+        return
+    for h, k in pairs:
         yield Fraction(h, k)
 
 
@@ -167,7 +195,7 @@ def verify_farey_properties(order: int) -> PropertyReport:
     triples = 0
     prev2: tuple[int, int] | None = None
     prev1: tuple[int, int] | None = None
-    for cur in _int_pairs(order):
+    for cur in _int_pairs(order, 0, 1, 1, order):
         if prev1 is not None:
             pairs += 1
             h, k = prev1

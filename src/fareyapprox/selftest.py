@@ -128,6 +128,24 @@ def _groups():
     detail = f"{len(instances)} instances, {feasible} feasible"
     yield "oracle vs Fraction scan", detail, len(instances), failures
 
+    # The sweep starts each point at the previous point's witness, which
+    # the one-point oracle never does.
+    points = feasible = 0
+    failures = []
+    for idx, (cs, eps) in enumerate(instances):
+        report = simultaneous.epsilon_threshold(cs, (4 * eps, 2 * eps, eps))
+        for g, witness in zip(report.grid, report.witnesses):
+            points += 1
+            feasible += witness is not None
+            oracle = simultaneous.brute_force_solve(cs, g)
+            if not isinstance(oracle, simultaneous.Solution):
+                oracle = None
+            if witness != oracle:
+                got, expected = (None if w is None else w.q for w in (witness, oracle))
+                failures.append(f"instance {idx}, eps {g}: sweep gives q {got}, oracle q {expected}")
+    detail = f"{len(instances)} grids, {points} points, {feasible} feasible"
+    yield "sweep vs oracle", detail, points, failures
+
 
 def run_selftest(stream: TextIO = sys.stdout) -> int:
     """Run all checks, print one line per group plus a summary; 0 iff clean."""

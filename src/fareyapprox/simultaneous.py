@@ -18,7 +18,8 @@ point: a q that misses the error bounds at some eps misses them at every
 smaller eps, so each point starts at the previous point's witness (the
 witnesses are records of max_i ||q*x_i|| / (q*t_i), the best simultaneous
 approximations of Lagarias 1982).  A point that witness does not settle
-walks from q = 0 again.
+walks on from it, so a sweep walks each q of its overall range at most
+once.
 
 No scan tests every q of its range.  A q that fits every item fits one
 pivot item, and the q whose ||q*x|| lies in a window are the return times
@@ -28,7 +29,9 @@ theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 operations, with a window that contains every q the exact test can
 accept.  :func:`_first_fit`, the one scan of the oracle, the sweep and the
 baseline, puts each q it yields through the exact integer test of every
-item, so the answers are those of a full scan.
+item, so the answers are those of a full scan.  A walk starts at the
+last hit below its lower end, which a Euclid-style descent finds in
+O(log xd) steps, so its cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
@@ -194,6 +197,35 @@ def _nearest(xn: int, xd: int, q: int) -> tuple[int, int]:
     return (f + 1, xd - rem) if 2 * rem > xd else (f, rem)
 
 
+def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
+    """Smallest j >= 0 with (a*j + b) mod m < w, or None if there is none.
+
+    With a and b reduced mod m and b >= w, a hit is a j with a*j in
+    [k*m - b, k*m - b + w) for some k >= 1.  A step a <= w cannot jump over
+    such an interval, so the first j past m - b is the answer.  For a > w
+    each interval holds at most one multiple of a, and it holds one when
+    ((m mod a)*(k-1) + (m - b + w - 1)) mod a < w: the same question with
+    modulus a, so (m, a) shrinks as in Euclid's algorithm and the descent
+    takes O(log m) rounds.  Each round's answer k - 1 gives the round
+    before it j = (k*m - b + w - 1) // a.
+    """
+    a, b = a % m, b % m
+    rounds = []
+    while b >= w:
+        if a == 0:
+            return None
+        if a <= w:
+            j = (m - b + a - 1) // a
+            break
+        rounds.append((a, b, m))
+        a, b, m = m % a, (m - b + w - 1) % a, a
+    else:
+        j = 0
+    for a, b, m in reversed(rounds):
+        j = ((j + 1) * m - b + w - 1) // a
+    return j
+
+
 def _window_hits(
     xn: int, xd: int, lo: int, hi: int, width: Callable[[int], int]
 ) -> Iterator[int]:
@@ -202,14 +234,17 @@ def _window_hits(
     xn/xd must be in lowest terms.  The half-width C = width(b) is fixed per
     doubling block [2**k, 2**(k+1) - 1] of q, where b is the block's last q
     (at most hi); ``width`` must not decrease in b, so a hit of one block's
-    window is a hit of the next block's.  The walk starts from q = 0, which
-    always hits, and carries into each block the last hit of the blocks
-    before, so it steps through the hits below lo too.  Once the window
-    covers all residues, q runs through the rest of the range one by one.
+    window is a hit of the next block's.  The walk starts in the block that
+    holds lo, at the last hit below lo, which :func:`_first_in_window`
+    finds by walking back from lo - 1 (q = 0 always hits, so there is
+    one).  It carries into each later block the last hit of the blocks
+    before.  Once the window covers all residues, q runs through the rest
+    of the range one by one.
     """
+    lo = max(lo, 1)
     if lo > hi:
         return
-    q, k = 0, 0
+    q, k = None, lo.bit_length() - 1
     while 1 << k <= hi:
         first, last = max(lo, 1 << k), min((2 << k) - 1, hi)
         c = width(last)
@@ -237,6 +272,9 @@ def _window_hits(
             else:
                 q1 = q2 = q1 + q2
                 u = v = 0
+        if q is None:
+            # Walking back from lo - 1 moves the residue by -xn per step.
+            q = lo - 1 - _first_in_window(-xn, xn * (lo - 1) + c, xd, w)
         # Three-gap rule: u + v >= w, so at most one of s + u and s - v
         # stays in the window; when neither does, s + u - v does.
         s = (xn * q + c) % xd
@@ -294,8 +332,8 @@ def _smallest_witnesses(
     eps, so point k needs no q below the witness of point k-1, or below
     the end of its range when it had none.  Each point therefore starts at
     that q, which it tests first and which settles most points of a fine
-    grid at once; a point it does not settle walks from q = 0 again,
-    stepping through the hits below its start without testing them.  No
+    grid at once; a point it does not settle walks on from that q, so
+    the sweep walks each q of its overall range at most once.  No
     point is skipped, because feasibility is not monotone in eps (a large
     eps can have an empty range while smaller ones are feasible).  The
     first point, in grid order, whose range exceeds ``max_scan`` and that
@@ -468,9 +506,9 @@ def epsilon_threshold(
     The grid must be strictly descending and positive.  Each point gets
     the witness :func:`brute_force_solve` would return for it.  A point
     first tests the previous point's witness, which settles most points
-    of a fine grid; a point it does not settle walks from q = 0 to its
-    witness or to the end of its range, so a sweep costs one walk per such
-    point.
+    of a fine grid; a point it does not settle walks on from there to its
+    witness or to the end of its range, so a sweep costs about one walk
+    over its largest range, plus O(log) steps per point to start a walk.
     Feasibility is reported pointwise (no monotonicity in eps is
     assumed); epsilon0 is the top of the unbroken feasible suffix, if
     any.  BudgetExceededError is raised for the first point whose range

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fareyapprox import farey_sequence
 from fareyapprox.cli import run
 
 
@@ -35,6 +40,52 @@ def test_farey_range_filter(capsys):
     code, out, _ = invoke(capsys, ["farey", "--order", "5", "--from", "1/3", "--to", "2/3"])
     assert code == 0
     assert out.splitlines() == ["1/3", "2/5", "1/2", "3/5", "2/3"]
+
+
+@st.composite
+def farey_windows(draw):
+    order = draw(st.integers(1, 60))
+    terms = list(farey_sequence(order))
+    ends = st.one_of(
+        st.sampled_from([F(-1, 2), F(0), F(1), F(3, 2)]),
+        st.sampled_from(terms),
+        st.builds(F, st.integers(-20, 140), st.integers(1, 120)),
+    )
+    lo = draw(st.one_of(st.none(), ends))
+    hi = draw(st.one_of(st.none(), ends))
+    return order, terms, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(farey_windows())
+def test_farey_window_matches_filtered_sequence(window):
+    # The listing starts at --from instead of filtering from 0/1; hi < lo
+    # and ends outside [0, 1] list nothing or everything.
+    order, terms, lo, hi = window
+    expected = [t for t in terms if (lo is None or t >= lo) and (hi is None or t <= hi)]
+    if lo is not None:
+        assert list(farey_sequence(order, lo)) == [t for t in terms if t >= lo]
+    argv = ["farey", "--order", str(order)]
+    argv += [] if lo is None else [f"--from={lo}"]
+    argv += [] if hi is None else [f"--to={hi}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue() == "".join(f"{t.numerator}/{t.denominator}\n" for t in expected)
+
+
+def test_farey_listing_starts_at_from():
+    # F_300000 has about 2.7*10**10 terms below 999999/1000000; the listing
+    # must not build them.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fareyapprox", "farey", "--order", "300000",
+         "--from", "999999/1000000"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/1\n", "")
 
 
 def test_neighbors_pair_json(capsys):
@@ -383,6 +434,22 @@ def test_selftest_catches_an_oracle_scanning_past_its_range(capsys, monkeypatch)
     code, out, _ = invoke(capsys, ["selftest"])
     assert code == 1
     assert "oracle vs Fraction scan: FAIL" in out
+
+
+def test_selftest_catches_a_sweep_skipping_the_previous_witness(capsys, monkeypatch):
+    import fareyapprox.simultaneous as simultaneous
+
+    first_fit = simultaneous._first_fit
+
+    def skip_start(items, lo, hi):
+        # Only a sweep starts above q = 1.
+        return first_fit(items, lo + 1 if lo > 1 else lo, hi)
+
+    monkeypatch.setattr(simultaneous, "_first_fit", skip_start)
+    code, out, _ = invoke(capsys, ["selftest"])
+    assert code == 1
+    assert "oracle vs Fraction scan: ok" in out
+    assert "sweep vs oracle: FAIL" in out
 
 
 def test_sweep_determinism(tmp_path, capsys):

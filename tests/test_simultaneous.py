@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -242,16 +246,18 @@ def test_dirichlet_validation_and_budget():
 @st.composite
 def window_walks(draw):
     # Denominators 1..3 and target 0 are the corner cases; the window runs
-    # from a single residue (C = 0) to the whole circle.
+    # from a single residue (C = 0) to the whole circle.  lo runs up to
+    # 10**12, so a walk that stepped up from q = 0 would not finish.
     xd = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400), st.integers(1, 10**15)))
     x = F(draw(st.integers(-3 * xd, 3 * xd)), xd)
-    hi = draw(st.integers(0, 1500))
-    lo = draw(st.integers(1, hi + 1))
+    lo = draw(st.one_of(st.integers(1, 1501), st.integers(1, 10**12)))
+    hi = draw(st.integers(lo - 1, lo + 1500))
     if draw(st.booleans()):
         c = draw(st.one_of(st.integers(0, 3), st.integers(0, x.denominator)))
         width = lambda b: c  # noqa: E731
     else:
-        bn, bd = draw(st.integers(0, 4)), draw(st.integers(1, 4000))
+        bn = draw(st.integers(0, 4))
+        bd = draw(st.one_of(st.integers(1, 4000), st.integers(1, 4 * 10**15)))
         width = lambda b: bn * x.denominator * b // bd  # noqa: E731
     return x.numerator, x.denominator, lo, hi, width
 
@@ -266,6 +272,46 @@ def test_window_hits_equal_linear_filter(walk):
         if min(r, xd - r) <= width(min((1 << q.bit_length()) - 1, hi)):
             expected.append(q)
     assert list(simultaneous._window_hits(xn, xd, lo, hi, width)) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 400).flatmap(
+        lambda m: st.tuples(
+            st.integers(-3 * m, 3 * m), st.integers(-3 * m, 3 * m), st.just(m), st.integers(1, m + 1)
+        )
+    )
+)
+def test_first_in_window_equals_search(case):
+    # Residues of a*j + b repeat with period dividing m, so a search over
+    # j < m finds the first hit if there is one.
+    a, b, m, w = case
+    expected = next((j for j in range(m) if (a * j + b) % m < w), None)
+    assert simultaneous._first_in_window(a, b, m, w) == expected
+
+
+def test_window_walk_starts_at_lo():
+    # About 1 q in 500 hits this window, so a walk that stepped up from
+    # q = 0 would pass some 2*10**9 hits before lo.
+    lo, hi = 10**12, 10**12 + 20_000
+    script = (
+        "from fareyapprox import parse_real\n"
+        "from fareyapprox.simultaneous import _window_hits\n"
+        "x = parse_real('sqrt2', 5000) - 1\n"
+        f"print(*_window_hits(x.numerator, x.denominator, {lo}, {hi}, lambda b: x.denominator // 1000))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    x = parse_real("sqrt2", 5000) - 1
+    xn, xd = x.numerator, x.denominator
+    expected = [q for q in range(lo, hi + 1) if min(xn * q % xd, -xn * q % xd) <= xd // 1000]
+    assert 0 < len(expected) and proc.stdout.split() == [str(q) for q in expected]
 
 
 @settings(max_examples=150, deadline=None)
