@@ -285,8 +285,25 @@ def _add_precision(sub) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    # Every option is long, so a token with one leading "-" other than -h is
+    # a value such as -1/2 or -sqrt2, not an option; argparse would report
+    # "expected one argument" for it.  Subparsers inherit this class.
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+    # argparse drops "--" from the value of "--from=--" and hands the
+    # command an empty list; keep it as the (invalid) string it is.
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="farey-approx",
         description="Simultaneous rational approximation with joint error/denominator control",
     )

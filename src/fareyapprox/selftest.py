@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import TextIO
+from typing import Iterable, Sequence, TextIO, Union
 
 from . import farey, mediants, simultaneous
 from .rationals import parse_real
@@ -17,22 +17,65 @@ from .rationals import parse_real
 _PROPERTY_ORDERS = (1, 2, 25, 100)
 _GAP_INDICES = (0, 1, 2, 5, 10)
 
+# Instances (constraints, eps) and the oracle's answer for each.
+_Instances = Sequence[tuple[simultaneous.ConstraintSet, Fraction]]
+_Answers = Sequence[Union[simultaneous.Solution, simultaneous.Infeasible]]
 
-def _gap_identity_failures(base: farey.FareyPair) -> list[str]:
+
+def _farey_property_checks(orders: Iterable[int]) -> tuple[int, list[str]]:
+    checks = 0
     failures = []
-    deepest = max(_GAP_INDICES) + 1
-    down = mediants.descending_chain(base, deepest).terms
-    up = mediants.ascending_chain(base, deepest).terms
-    for i in _GAP_INDICES:
+    for order in orders:
+        for name, check in farey.verify_farey_properties(order).checks():
+            checks += 1
+            if not check.passed:
+                failures.append(f"farey property {name} at order {order}: {check.counterexample}")
+    return checks, failures
+
+
+def _gap_identity_checks(
+    triples: Iterable[tuple[farey.FareyPair, int, int]],
+) -> tuple[int, list[str]]:
+    # Each (base, i, j) compares the closed-form gaps at descending index i
+    # and ascending index j with subtraction of the chain terms.
+    checks = 0
+    failures = []
+    for base, i, j in triples:
+        checks += 4
+        down = mediants.descending_chain(base, i + 1).terms
+        up = mediants.ascending_chain(base, j + 1).terms
+        where = f"base {base.left},{base.right}"
         if down[i] - down[i + 1] != mediants.descending_step_gap(base, i):
-            failures.append(f"descending step gap, base {base.left},{base.right}, i={i}")
+            failures.append(f"descending step gap, {where}, i={i}")
         if down[i] - base.left != mediants.descending_tail_gap(base, i):
-            failures.append(f"descending tail gap, base {base.left},{base.right}, i={i}")
-        if up[i + 1] - up[i] != mediants.ascending_step_gap(base, i):
-            failures.append(f"ascending step gap, base {base.left},{base.right}, j={i}")
-        if base.right - up[i] != mediants.ascending_tail_gap(base, i):
-            failures.append(f"ascending tail gap, base {base.left},{base.right}, j={i}")
-    return failures
+            failures.append(f"descending tail gap, {where}, i={i}")
+        if up[j + 1] - up[j] != mediants.ascending_step_gap(base, j):
+            failures.append(f"ascending step gap, {where}, j={j}")
+        if base.right - up[j] != mediants.ascending_tail_gap(base, j):
+            failures.append(f"ascending tail gap, {where}, j={j}")
+    return checks, failures
+
+
+def _compose_checks(instances: _Instances, oracles: _Answers) -> tuple[int, list[str], int]:
+    # The heuristic's flag must agree with the checker, and a solution it
+    # flags as satisfying can never beat the oracle's smallest q.  The third
+    # value is the number of instances flagged as satisfied.
+    satisfied = 0
+    failures = []
+    for idx, ((cs, eps), oracle) in enumerate(zip(instances, oracles)):
+        composed = simultaneous.compose_solve(cs, eps)
+        claimed = composed.satisfies_constraints
+        satisfied += claimed
+        verified = simultaneous.check_solution(cs, eps, composed.q, composed.ps).overall
+        if claimed != verified:
+            failures.append(f"instance {idx}: flag {claimed} but checker says {verified}")
+        elif not claimed:
+            continue
+        elif not isinstance(oracle, simultaneous.Solution):
+            failures.append(f"instance {idx}: compose satisfied but oracle found nothing")
+        elif oracle.q > composed.q:
+            failures.append(f"instance {idx}: oracle q {oracle.q} > compose q {composed.q}")
+    return len(instances), failures, satisfied
 
 
 def _fixed_instances() -> list[tuple[simultaneous.ConstraintSet, Fraction]]:
@@ -70,53 +113,22 @@ def _fixed_instances() -> list[tuple[simultaneous.ConstraintSet, Fraction]]:
     return instances
 
 
-def _fraction_scan(cs: simultaneous.ConstraintSet, eps: Fraction) -> tuple | None:
+def _fraction_scan(
+    cs: simultaneous.ConstraintSet, eps: Fraction, max_scan: int = simultaneous.DEFAULT_MAX_SCAN
+) -> tuple | None:
     # The oracle's answer by definition: the smallest q whose nearest
-    # numerators pass the Fraction checker, trying every q in turn.
-    for q in range(1, math.floor(cs.t_min / eps) + 1):
+    # numerators pass the Fraction checker, trying every q in turn, at most
+    # max_scan of them like the oracle.
+    for q in range(1, min(math.floor(cs.t_min / eps), max_scan) + 1):
         ps = tuple(simultaneous.best_numerator(x, q) for x in cs.xs)
         if simultaneous.check_solution(cs, eps, q, ps).overall:
             return q, ps
     return None
 
 
-def _groups():
-    # Each check group as (label, detail, checks run, failure lines).
-    for order in _PROPERTY_ORDERS:
-        report = farey.verify_farey_properties(order)
-        checks = list(report.checks())
-        failures = [
-            f"farey property {name} at order {order}: {check.counterexample}"
-            for name, check in checks
-            if not check.passed
-        ]
-        yield f"farey properties order={order}", "4 properties", len(checks), failures
-
-    bases = [farey.FareyPair(Fraction(0), Fraction(1), 1)]
-    seq = list(farey.farey_sequence(8))
-    bases += [farey.FareyPair(a, b, 8) for a, b in zip(seq, seq[1:])]
-    failures = [line for base in bases for line in _gap_identity_failures(base)]
-    count = 4 * len(_GAP_INDICES) * len(bases)
-    yield "gap identities", f"{count} identities over {len(bases)} base pairs", count, failures
-
-    instances = _fixed_instances()
-    oracles = [simultaneous.brute_force_solve(cs, eps) for cs, eps in instances]
-    satisfied = 0
-    failures = []
-    for idx, ((cs, eps), oracle) in enumerate(zip(instances, oracles)):
-        composed = simultaneous.compose_solve(cs, eps)
-        if not composed.satisfies_constraints:
-            continue
-        satisfied += 1
-        if not simultaneous.check_solution(cs, eps, composed.q, composed.ps).overall:
-            failures.append(f"instance {idx}: satisfied flag not confirmed by checker")
-        elif not isinstance(oracle, simultaneous.Solution):
-            failures.append(f"instance {idx}: compose satisfied but oracle found nothing")
-        elif oracle.q > composed.q:
-            failures.append(f"instance {idx}: oracle q {oracle.q} > compose q {composed.q}")
-    detail = f"{len(instances)} instances, {satisfied} satisfied"
-    yield "compose vs oracle", detail, len(instances), failures
-
+def _oracle_checks(instances: _Instances, oracles: _Answers) -> tuple[int, list[str], int]:
+    # Each oracle answer must be the Fraction scan's.  The third value is
+    # the number of feasible instances.
     feasible = 0
     failures = []
     for idx, ((cs, eps), found) in enumerate(zip(instances, oracles)):
@@ -125,8 +137,27 @@ def _groups():
         got = (found.q, found.ps) if isinstance(found, simultaneous.Solution) else None
         if got != expected:
             failures.append(f"instance {idx}: oracle gives {got}, Fraction scan {expected}")
-    detail = f"{len(instances)} instances, {feasible} feasible"
-    yield "oracle vs Fraction scan", detail, len(instances), failures
+    return len(instances), failures, feasible
+
+
+def _groups():
+    # Each check group as (label, detail, checks run, failure lines).
+    for order in _PROPERTY_ORDERS:
+        yield f"farey properties order={order}", "4 properties", *_farey_property_checks([order])
+
+    bases = [farey.FareyPair(Fraction(0), Fraction(1), 1)]
+    seq = list(farey.farey_sequence(8))
+    bases += [farey.FareyPair(a, b, 8) for a, b in zip(seq, seq[1:])]
+    count, failures = _gap_identity_checks((b, i, i) for b in bases for i in _GAP_INDICES)
+    yield "gap identities", f"{count} identities over {len(bases)} base pairs", count, failures
+
+    instances = _fixed_instances()
+    oracles = [simultaneous.brute_force_solve(cs, eps) for cs, eps in instances]
+    count, failures, satisfied = _compose_checks(instances, oracles)
+    yield "compose vs oracle", f"{count} instances, {satisfied} satisfied", count, failures
+
+    count, failures, feasible = _oracle_checks(instances, oracles)
+    yield "oracle vs Fraction scan", f"{count} instances, {feasible} feasible", count, failures
 
     # The sweep starts each point at the previous point's witness, which
     # the one-point oracle never does.

@@ -176,8 +176,7 @@ def check_solution(
     if len(ps) != cs.n:
         raise InvalidInputError(f"expected {cs.n} numerators, got {len(ps)}")
     per_item = []
-    for (x, t), p in zip(cs.items, ps):
-        err = abs(x - Fraction(p, q))
+    for (_, t), err in zip(cs.items, _exact_errors(cs.xs, q, ps)):
         bound = epsilon * t
         ok = err < bound if strict else err <= bound
         per_item.append(ItemCheck(ok, err, bound))
@@ -452,14 +451,8 @@ def compose_solve(
         q *= qk
     ps_t = tuple(ps)
     report = check_solution(cs, epsilon, q, ps_t)
-    return Solution(
-        q,
-        ps_t,
-        _exact_errors(cs.xs, q, ps_t),
-        epsilon,
-        "compose",
-        satisfies_constraints=report.overall,
-    )
+    errors = tuple(item.exact_error for item in report.per_item)
+    return Solution(q, ps_t, errors, epsilon, "compose", satisfies_constraints=report.overall)
 
 
 def dirichlet_solve(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,14 +6,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fareyapprox.farey as farey
+import fareyapprox.mediants as mediants
+import fareyapprox.simultaneous as simultaneous
 from fareyapprox import farey_sequence
-from fareyapprox.cli import run
+from fareyapprox.cli import _build_parser, run
 
 
 def invoke(capsys, argv):
@@ -53,7 +58,7 @@ def farey_windows(draw):
     )
     lo = draw(st.one_of(st.none(), ends))
     hi = draw(st.one_of(st.none(), ends))
-    return order, terms, lo, hi
+    return order, terms, lo, hi, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -61,13 +66,14 @@ def farey_windows(draw):
 def test_farey_window_matches_filtered_sequence(window):
     # The listing starts at --from instead of filtering from 0/1; hi < lo
     # and ends outside [0, 1] list nothing or everything.
-    order, terms, lo, hi = window
+    order, terms, lo, hi, joined = window
     expected = [t for t in terms if (lo is None or t >= lo) and (hi is None or t <= hi)]
     if lo is not None:
         assert list(farey_sequence(order, lo)) == [t for t in terms if t >= lo]
     argv = ["farey", "--order", str(order)]
-    argv += [] if lo is None else [f"--from={lo}"]
-    argv += [] if hi is None else [f"--to={hi}"]
+    for option, end in (("--from", lo), ("--to", hi)):
+        if end is not None:
+            argv += [f"{option}={end}"] if joined else [option, str(end)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
@@ -156,14 +162,6 @@ def test_solve_feasible(tmp_path, capsys):
     assert obj["errors"] == ["0/1", "0/1"]
     assert obj["epsilon"] == "1/10"
     assert obj["precision"] == 64
-
-
-def test_solve_infeasible(tmp_path, capsys):
-    path = write(tmp_path, "infeasible.txt", "3/7 1/2\n")
-    code, out, _ = invoke(capsys, ["solve", "--input", path, "--epsilon", "1/8"])
-    assert code == 2
-    obj = json.loads(out)
-    assert obj["infeasible"] is True and "reason" in obj
 
 
 def test_solve_malformed_input(tmp_path, capsys):
@@ -290,18 +288,6 @@ def test_sweep_geometric_grid_too_long_to_print(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_compare_command(tmp_path, capsys):
-    path = write(tmp_path, "pair.txt", "1/3 1\n2/3 1\n")
-    code, out, _ = invoke(capsys, ["compare", "--input", path, "--epsilon", "1/10", "--T", "4"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["constrained"]["q"] == 3
-    assert obj["q_bound_constrained"] == "10/1"
-    assert obj["q_bound_dirichlet"] == 16
-    assert obj["dirichlet_T"] == 4
-    assert obj["max_error_constrained"] == "0/1"
-
-
 def test_compare_non_uniform_weights(tmp_path, capsys):
     path = write(tmp_path, "mixed.txt", "1/3 1\n2/3 2\n")
     code, _, err = invoke(capsys, ["compare", "--input", path, "--epsilon", "1/10", "--T", "4"])
@@ -380,65 +366,104 @@ def test_usage_errors(capsys):
     assert invoke(capsys, ["farey", "--order", "5", "--bogus"])[0] == 1
     assert invoke(capsys, ["nonsense"])[0] == 1
     assert invoke(capsys, ["--help"])[0] == 0
+    assert invoke(capsys, ["farey", "-h"])[0] == 0
+    code, _, err = invoke(capsys, ["farey", "--order", "5", "--from"])
+    assert code == 1 and "expected one argument" in err
+    code, _, err = invoke(capsys, ["farey", "--order", "5", "-x"])
+    assert code == 1 and "unrecognized arguments: -x" in err
+
+
+def test_negative_looking_values_are_values(capsys):
+    # A value with one leading "-" parses with or without "=".
+    listing = (0, "0/1\n1/3\n1/2\n2/3\n1/1\n", "")
+    assert invoke(capsys, ["farey", "--order", "3", "--from", "-1/2"]) == listing
+    neighbors = invoke(capsys, ["neighbors", "--x", "-sqrt2", "--order", "3"])
+    assert neighbors == invoke(capsys, ["neighbors", "--x=-sqrt2", "--order", "3"])
+    code, out, err = neighbors
+    assert code == 1 and out == "" and "outside [0, 1]" in err
+
+
+SELFTEST_STDOUT = """\
+farey properties order=1: ok (4 properties)
+farey properties order=2: ok (4 properties)
+farey properties order=25: ok (4 properties)
+farey properties order=100: ok (4 properties)
+gap identities: ok (460 identities over 23 base pairs)
+compose vs oracle: ok (24 instances, 8 satisfied)
+oracle vs Fraction scan: ok (24 instances, 20 feasible)
+sweep vs oracle: ok (24 grids, 72 points, 53 feasible)
+selftest: 596 checks run, all passed
+"""
 
 
 def test_selftest_passes_and_is_deterministic(capsys):
-    code1, out1, _ = invoke(capsys, ["selftest"])
-    code2, out2, _ = invoke(capsys, ["selftest"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert "all passed" in out1
-    assert "checks run" in out1
+    # Golden: every group line and count, so a refactor of the checks
+    # cannot silently drop or rename one.
+    assert invoke(capsys, ["selftest"]) == (0, SELFTEST_STDOUT, "")
+    assert invoke(capsys, ["selftest"]) == (0, SELFTEST_STDOUT, "")
+
+
+def failed_selftest(capsys):
+    code, out, _ = invoke(capsys, ["selftest"])
+    assert code == 1
+    return out
 
 
 def test_selftest_fault_injection(capsys, monkeypatch):
-    from fractions import Fraction
-
-    import fareyapprox.mediants as mediants
-
     true_gap = mediants.descending_step_gap
 
     def corrupted(base, i):
-        return true_gap(base, i) + Fraction(1, 10**9)
+        return true_gap(base, i) + F(1, 10**9)
 
     monkeypatch.setattr(mediants, "descending_step_gap", corrupted)
-    code, out, _ = invoke(capsys, ["selftest"])
-    assert code == 1
-    assert "FAIL" in out
-    assert "descending step gap" in out
+    assert "FAIL descending step gap" in failed_selftest(capsys)
+
+
+def test_selftest_catches_a_skipped_farey_term(capsys, monkeypatch):
+    pairs = farey._int_pairs
+
+    def skip_second(order, *seed):
+        # Only F_25 loses a term; the gap identities list F_8.
+        return (t for k, t in enumerate(pairs(order, *seed)) if order != 25 or k != 1)
+
+    monkeypatch.setattr(farey, "_int_pairs", skip_second)
+    assert "farey properties order=25: FAIL" in failed_selftest(capsys)
+
+
+def test_selftest_catches_a_false_compose_flag(capsys, monkeypatch):
+    compose = simultaneous.compose_solve
+
+    def always_claims(cs, eps):
+        sol = compose(cs, eps)
+        return simultaneous.Solution(sol.q, sol.ps, sol.errors, eps, "compose", True)
+
+    monkeypatch.setattr(simultaneous, "compose_solve", always_claims)
+    out = failed_selftest(capsys)
+    assert "compose vs oracle: FAIL" in out
+    assert "flag True but checker says False" in out
 
 
 def test_selftest_catches_a_broken_oracle(capsys, monkeypatch):
-    import fareyapprox.simultaneous as simultaneous
-
     walk = simultaneous._window_hits
 
     def skip_odd(*args):
         return (q for q in walk(*args) if q % 2 == 0)
 
     monkeypatch.setattr(simultaneous, "_window_hits", skip_odd)
-    code, out, _ = invoke(capsys, ["selftest"])
-    assert code == 1
-    assert "oracle vs Fraction scan: FAIL" in out
+    assert "oracle vs Fraction scan: FAIL" in failed_selftest(capsys)
 
 
 def test_selftest_catches_an_oracle_scanning_past_its_range(capsys, monkeypatch):
-    import fareyapprox.simultaneous as simultaneous
-
     walk = simultaneous._window_hits
 
     def overshoot(xn, xd, lo, hi, width):
         return walk(xn, xd, lo, 2 * hi, width)
 
     monkeypatch.setattr(simultaneous, "_window_hits", overshoot)
-    code, out, _ = invoke(capsys, ["selftest"])
-    assert code == 1
-    assert "oracle vs Fraction scan: FAIL" in out
+    assert "oracle vs Fraction scan: FAIL" in failed_selftest(capsys)
 
 
 def test_selftest_catches_a_sweep_skipping_the_previous_witness(capsys, monkeypatch):
-    import fareyapprox.simultaneous as simultaneous
-
     first_fit = simultaneous._first_fit
 
     def skip_start(items, lo, hi):
@@ -446,8 +471,7 @@ def test_selftest_catches_a_sweep_skipping_the_previous_witness(capsys, monkeypa
         return first_fit(items, lo + 1 if lo > 1 else lo, hi)
 
     monkeypatch.setattr(simultaneous, "_first_fit", skip_start)
-    code, out, _ = invoke(capsys, ["selftest"])
-    assert code == 1
+    out = failed_selftest(capsys)
     assert "oracle vs Fraction scan: ok" in out
     assert "sweep vs oracle: FAIL" in out
 
@@ -552,3 +576,75 @@ def test_json_output_bytes(tmp_path, capsys, argv, code, expected):
     argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
     out = json.dumps({**expected, "precision": 64}, indent=2) + "\n"
     assert invoke(capsys, argv) == (code, out, "")
+
+
+# --- fuzz ------------------------------------------------------------------
+
+_ODD = st.sampled_from(
+    ["1/0", "-0", "+3/4", "1_000/7", "-2.5e-3", "1e-40", "1e99999", "1__0", "nan", "1/", "x",
+     "", "-", "--", "-h", "0", "-3", "1.5"]
+)
+_UNIT = st.integers(1, 300).flatmap(lambda d: st.integers(0, d).map(f"{{}}/{d}".format))
+_REALS = st.one_of(
+    _UNIT,
+    st.builds("{}/{}".format, st.integers(-20, 300), st.integers(1, 30)),
+    st.sampled_from(["sqrt2", "-sqrt2", "PHI", "-e", "pi"]),
+)
+_INTS = st.integers(1, 200).map(str)
+# A consecutive pair of F_N and its order, so that subdivide gets past its checks.
+_PAIRS = st.integers(1, 30).flatmap(
+    lambda n: st.sampled_from([(str(a), str(b), str(n)) for a, b in pairwise(farey_sequence(n))])
+)
+_SUBPARSERS = next(
+    a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+_ITEM = st.builds("{} {}".format, _REALS, st.sampled_from(["1", "1/2", "2", "1/10"]))
+_BLANK = st.sampled_from(["", "   ", "# comment", "1/2 1 # trailing", "\t1/3\t2"])
+_ODD_LINE = st.builds("{} 1".format, _ODD) | st.sampled_from(["1/2", "1/2 1 1", "1/2 0", "1/2 -1"])
+# A constraint-file line: an item eight times in ten.
+_LINE = st.sampled_from([_ITEM] * 8 + [_BLANK, _ODD_LINE]).flatmap(lambda line: line)
+
+
+@st.composite
+def cli_calls(draw):
+    # Every option of a subcommand, from its parser: each is left out one
+    # time in twenty and given an odd value one time in twenty.
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    lo, hi, order = draw(_PAIRS)
+    by_dest = {
+        "lo": st.just(lo), "hi": st.just(hi), "order": st.just(order),
+        "grid": st.lists(_REALS, min_size=1, max_size=6).map(",".join),
+        "method": st.sampled_from(["brute", "compose"]), "input": st.none(),
+    }
+    argv = [command]
+    for action in _SUBPARSERS[command]._actions[1:]:  # all but -h
+        option = action.option_strings[0]
+        roll = draw(st.sampled_from(["keep"] * 18 + ["odd", "drop"]))
+        if action.nargs == 0 or roll == "drop":
+            argv += [option] if roll == "keep" else []
+            continue
+        default = _INTS if action.type is int else _REALS
+        value = draw(_ODD if roll == "odd" else by_dest.get(action.dest, default))
+        forms = [[option]] if value is None else [[option, value], [f"{option}={value}"]]
+        argv += draw(st.sampled_from(forms))
+    argv += draw(st.sampled_from([[]] * 18 + [["--bogus"], ["-x"], ["extra"]]))
+    lines = draw(st.lists(_LINE, min_size=1, max_size=5))
+    return argv, draw(st.sampled_from(["", "\ufeff"])) + "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=5000)
+@given(call=cli_calls())
+@example(call=(["neighbors", "--order", "3", "--x=--"], ""))  # argparse made --x=-- a list
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, call):
+    # Every argv and constraint file ends in exit 0, 1 or 2 with no
+    # exception escaping.  Orders, --precision and the other integers stay
+    # at most 200 and the scan budget at 20000, so each example is quick.
+    argv, text = call
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [f"--input={path}" if a == "--input" else a for a in argv]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FAREY_APPROX_MAX_SCAN", "20000")
+        mp.setattr("fareyapprox.cli.run_selftest", lambda stream: 0)  # pinned by the golden test
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) in (0, 1, 2)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fareyapprox.mediants as mediants
 from fareyapprox import (
     BudgetExceededError,
     ChainSide,
@@ -11,24 +12,20 @@ from fareyapprox import (
     InfeasibleError,
     InvalidInputError,
     ascending_chain,
-    ascending_step_gap,
     ascending_tail_gap,
     descending_chain,
     descending_step_gap,
-    descending_tail_gap,
-    farey_sequence,
     subdivide,
 )
+from fareyapprox.selftest import _gap_identity_checks
+from oracles import consecutive_pairs, feasible_by_enumeration, subdivision_failures
 
 UNIT = FareyPair(F(0), F(1), 1)
 THIRD_HALF = FareyPair(F(1, 3), F(1, 2), 3)
 
 
 def random_pair(rng, max_order=60):
-    order = rng.randint(1, max_order)
-    terms = list(farey_sequence(order))
-    i = rng.randrange(len(terms) - 1)
-    return FareyPair(terms[i], terms[i + 1], order)
+    return rng.choice(consecutive_pairs(rng.randint(1, max_order)))
 
 
 def test_descending_chain_examples():
@@ -73,6 +70,14 @@ def test_chain_terms_follow_literal_formula_and_stay_reduced():
             assert math.gcd(abs(down[i].numerator), down[i].denominator) == 1
 
 
+def test_gap_checks_read_the_ascending_index(monkeypatch):
+    # A wrong ascending gap at j = 3 is caught at (base, i, j) = (UNIT, 0, 3) only.
+    true_gap = mediants.ascending_step_gap
+    monkeypatch.setattr(mediants, "ascending_step_gap", lambda base, j: true_gap(base, j) + (j == 3))
+    assert _gap_identity_checks([(UNIT, 0, 3)]) == (4, ["ascending step gap, base 0,1, j=3"])
+    assert _gap_identity_checks([(UNIT, 3, 0)]) == (4, [])
+
+
 def test_gap_examples():
     assert descending_step_gap(UNIT, 0) == F(1, 2)
     assert descending_step_gap(THIRD_HALF, 1) == F(1, 40)
@@ -81,15 +86,11 @@ def test_gap_examples():
 
 def test_gap_closed_forms_match_subtraction():
     rng = random.Random(707)
+    triples = []
     for _ in range(60):
         base = random_pair(rng)
-        down = descending_chain(base, 51).terms
-        up = ascending_chain(base, 51).terms
-        for i in rng.sample(range(51), 8) + [0, 50]:
-            assert down[i] - down[i + 1] == descending_step_gap(base, i)
-            assert down[i] - base.left == descending_tail_gap(base, i)
-            assert up[i + 1] - up[i] == ascending_step_gap(base, i)
-            assert base.right - up[i] == ascending_tail_gap(base, i)
+        triples += [(base, i, i) for i in rng.sample(range(51), 8) + [0, 50]]
+    assert _gap_identity_checks(triples) == (4 * 600, [])
 
 
 # --- subdivision -----------------------------------------------------------
@@ -104,51 +105,6 @@ def subdivision_points_for_length(base, p):
     return terms + (right,)
 
 
-def feasible_by_enumeration(base, gap_bound, denom_bound):
-    # oracle: walk every chain prefix allowed by the denominator bound; the
-    # max gap of prefix p is the running max of rung gaps plus the tail gap,
-    # all obtained by direct subtraction of chain terms
-    left, right = base.left, base.right
-    if max(left.denominator, right.denominator) > denom_bound:
-        return False
-    if right - left <= gap_bound:
-        return True
-    if right.denominator >= left.denominator:
-        h, k = left.numerator, left.denominator
-        hc, kc = right.numerator, right.denominator
-        far = left
-    else:
-        h, k = right.numerator, right.denominator
-        hc, kc = left.numerator, left.denominator
-        far = right
-
-    def term(i):
-        return F(hc + i * h, kc + i * k)
-
-    rung_max = F(0)
-    p = 1
-    while term(p).denominator <= denom_bound:
-        rung_max = max(rung_max, abs(term(p - 1) - term(p)))
-        tail = abs(far - term(p))
-        if max(rung_max, tail) <= gap_bound:
-            return True
-        p += 1
-    return False
-
-
-def assert_valid_subdivision(sub, base):
-    points = sub.points
-    assert points[0] == base.left and points[-1] == base.right
-    for a, b in zip(points, points[1:]):
-        assert a < b
-        assert b - a <= sub.gap_bound
-        # adjacent points stay unimodular (each step is a mediant)
-        assert a.denominator * b.numerator - a.numerator * b.denominator == 1
-    for point in points:
-        assert point.denominator <= sub.denom_bound
-        assert math.gcd(abs(point.numerator), point.denominator) == 1
-
-
 def test_subdivide_endpoints_when_gap_already_small():
     assert subdivide(UNIT, F(1), 1).points == (F(0), F(1))
     # the pair gap 1/6 already meets the bound 1/5
@@ -160,7 +116,7 @@ def test_subdivide_three_point_example():
     assert sub.points == (F(1, 3), F(2, 5), F(1, 2))
     gaps = [b - a for a, b in zip(sub.points, sub.points[1:])]
     assert gaps == [F(1, 15), F(1, 10)]
-    assert_valid_subdivision(sub, THIRD_HALF)
+    assert subdivision_failures(sub.points, THIRD_HALF, sub.gap_bound, sub.denom_bound) == []
 
 
 def test_subdivide_infeasible_narrow_denominator_budget():
@@ -217,7 +173,7 @@ def test_subdivide_randomized_against_enumeration():
             assert not feasible_by_enumeration(base, gap_bound, denom_bound)
         else:
             verdicts["ok"] += 1
-            assert_valid_subdivision(sub, base)
+            assert subdivision_failures(sub.points, base, sub.gap_bound, sub.denom_bound) == []
             assert feasible_by_enumeration(base, gap_bound, denom_bound)
     # the draw should exercise both outcomes
     assert verdicts["ok"] > 0 and verdicts["infeasible"] > 0

@@ -28,6 +28,7 @@ from fareyapprox import (
     nearest_int_distance,
     parse_real,
 )
+from fareyapprox.selftest import _compose_checks, _fraction_scan, _oracle_checks
 
 SQRT2_50 = parse_real("sqrt2", 50)
 PHI_50 = parse_real("phi", 50)
@@ -133,25 +134,19 @@ def test_brute_force_infeasible():
 
 
 def test_brute_force_minimality_and_soundness():
+    # Each answer, feasible or not, is the smallest q that passes the
+    # independent checker; the recorded errors match recomputation.
     rng = random.Random(333)
     standins = (SQRT2_50, PHI_50, parse_real("e", 50))
-    solved = 0
-    for _ in range(60):
-        c = random_constraints(rng, standins=standins)
-        eps = F(1, rng.randint(2, 64))
-        result = brute_force_solve(c, eps)
-        if isinstance(result, Infeasible):
-            continue
-        solved += 1
-        assert check_solution(c, eps, result.q, result.ps).overall
-        # recorded errors match recomputation
-        for (x, _), p, err in zip(c.items, result.ps, result.errors):
-            assert err == abs(x - F(p, result.q))
-        # no smaller q works, re-verified through the independent checker
-        for q in range(1, result.q):
-            ps = [best_numerator(x, q) for x in c.xs]
-            assert not check_solution(c, eps, q, ps).overall
-    assert solved > 10
+    instances = [
+        (random_constraints(rng, standins=standins), F(1, rng.randint(2, 64))) for _ in range(60)
+    ]
+    results = [brute_force_solve(c, eps) for c, eps in instances]
+    count, failures, solved = _oracle_checks(instances, results)
+    assert (count, failures) == (60, []) and solved > 10
+    for (c, _), result in zip(instances, results):
+        if isinstance(result, Solution):
+            assert result.errors == tuple(abs(x - F(p, result.q)) for x, p in zip(c.xs, result.ps))
 
 
 def test_brute_force_budget():
@@ -189,15 +184,21 @@ def test_compose_standin_bracketing():
 def test_compose_flag_always_matches_checker():
     rng = random.Random(444)
     standins = (SQRT2_50, PHI_50)
-    for _ in range(60):
-        c = random_constraints(rng, standins=standins)
-        eps = F(1, rng.randint(2, 64))
-        sol = compose_solve(c, eps)
-        assert sol.satisfies_constraints == check_solution(c, eps, sol.q, sol.ps).overall
-        if sol.satisfies_constraints:
-            oracle = brute_force_solve(c, eps)
-            assert isinstance(oracle, Solution)
-            assert oracle.q <= sol.q
+    instances = [
+        (random_constraints(rng, standins=standins), F(1, rng.randint(2, 64))) for _ in range(60)
+    ]
+    oracles = [brute_force_solve(c, eps) for c, eps in instances]
+    count, failures, _ = _compose_checks(instances, oracles)
+    assert (count, failures) == (60, [])
+
+
+def test_compose_checks_catch_a_wrong_oracle():
+    # compose satisfies 1/2 at eps = 1/4 with q = 2, which no oracle can beat
+    wrong = [Infeasible("none"), Solution(3, (2,), (F(1, 6),), F(1, 4), "brute")]
+    assert _compose_checks([(cs((F(1, 2), F(1))), F(1, 4))] * 2, wrong)[1] == [
+        "instance 0: compose satisfied but oracle found nothing",
+        "instance 1: oracle q 3 > compose q 2",
+    ]
 
 
 def test_compose_denominator_cap():
@@ -337,37 +338,34 @@ def test_dirichlet_matches_linear_scan(xs, T):
     assert sol.errors == tuple(abs(x - F(p, q)) for x, p in zip(xs, ps))
 
 
-def test_oracle_visits_few_denominators(monkeypatch):
-    # n = 6, t_min = 1/10, range 10**5, infeasible: walking the item with
-    # the smallest t should offer about 2*t_min**2 = 2% of the range, where
-    # the first item (t = 1) would offer 20% and a full scan all of it.
-    visited = []
+@pytest.fixture
+def visited(monkeypatch):
+    # Every q the three-gap walk yields, in order.
+    seen = []
     walk = simultaneous._window_hits
 
     def counting(*args):
         for q in walk(*args):
-            visited.append(q)
+            seen.append(q)
             yield q
 
     monkeypatch.setattr(simultaneous, "_window_hits", counting)
+    return seen
+
+
+def test_oracle_visits_few_denominators(visited):
+    # n = 6, t_min = 1/10, range 10**5, infeasible: walking the item with
+    # the smallest t should offer about 2*t_min**2 = 2% of the range, where
+    # the first item (t = 1) would offer 20% and a full scan all of it.
     names = ("sqrt2", "sqrt3", "sqrt5", "phi", "e", "pi")
     c = cs(*[(parse_real(name, 64), F(1, 10) if i else F(1)) for i, name in enumerate(names)])
     assert isinstance(brute_force_solve(c, F(1, 10**6)), Infeasible)
     assert 0 < len(visited) < 0.03 * 10**5
 
 
-def test_sweep_tries_previous_witness_first(monkeypatch):
+def test_sweep_tries_previous_witness_first(visited):
     # 200 points share 7 witnesses: each point first tests the witness of
     # the one before, so a walk runs only where the witness changes.
-    visited = []
-    walk = simultaneous._window_hits
-
-    def counting(*args):
-        for q in walk(*args):
-            visited.append(q)
-            yield q
-
-    monkeypatch.setattr(simultaneous, "_window_hits", counting)
     c = cs((SQRT2_50, F(1)), (parse_real("sqrt3", 50), F(1)))
     rep = epsilon_threshold(c, [F(1, k) for k in range(10, 1010, 5)])
     assert all(rep.feasible)
@@ -417,19 +415,13 @@ def test_epsilon_threshold_budget_not_raised_when_witnessed():
 
 
 def reference_smallest(c, eps, max_scan):
-    """Smallest (q, ps) fitting at eps through the Fraction checker.
-
-    Returns None when the range is exhausted, or the budget message a
-    scan capped at ``max_scan`` must raise.
-    """
+    # The Fraction scan's (q, ps) or None, or the budget message a scan
+    # capped at max_scan must raise.
+    found = _fraction_scan(c, eps, max_scan)
     q_max = math.floor(c.t_min / eps)
-    for q in range(1, min(q_max, max_scan) + 1):
-        ps = tuple(best_numerator(x, q) for x in c.xs)
-        if check_solution(c, eps, q, ps).overall:
-            return q, ps
-    if q_max > max_scan:
+    if found is None and q_max > max_scan:
         return f"scan budget exhausted after {max_scan} of {q_max} denominators"
-    return None
+    return found
 
 
 @st.composite
