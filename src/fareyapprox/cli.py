@@ -8,6 +8,7 @@ files yield byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -173,8 +174,10 @@ def _build_grid(args) -> tuple[Fraction, ...]:
 def _cmd_farey(args) -> int:
     lo = parse_rational(args.lo) if args.lo is not None else None
     hi = parse_rational(args.hi) if args.hi is not None else None
+    # Test term > hi in integers; without --to, hi is 1/0, above every term.
+    hn, hd = (hi.numerator, hi.denominator) if hi is not None else (1, 0)
     for term in farey_sequence(args.order, lo):
-        if hi is not None and term > hi:
+        if term.numerator * hd > hn * term.denominator:
             break
         sys.stdout.write(format_rational(term) + "\n")
     return 0
@@ -208,15 +211,17 @@ def _cmd_subdivide(args) -> int:
     result = subdivide(base, gap, denom_bound, max_points=args.max_points)
     for point in result.points:
         sys.stdout.write(format_rational(point) + "\n")
-    gaps = [b - a for a, b in zip(result.points, result.points[1:])]
+    # Adjacent points are unimodular neighbours, so each gap is 1/(k_a*k_b).
+    dens = [p.denominator for p in result.points]
+    prods = [a * b for a, b in zip(dens, dens[1:])]
     _emit_json(
         {
             "points": len(result.points),
-            "max_gap": format_rational(max(gaps)),
-            "min_gap": format_rational(min(gaps)),
+            "max_gap": format_rational(Fraction(1, min(prods))),
+            "min_gap": format_rational(Fraction(1, max(prods))),
             "gap_bound": format_rational(result.gap_bound),
             "denom_bound": result.denom_bound,
-            "max_denominator": max(p.denominator for p in result.points),
+            "max_denominator": max(dens),
         },
         args.precision,
     )
@@ -302,6 +307,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+# Built once per process and shared by every run() call: parse_args makes a
+# fresh Namespace each time, and each _cmd_* looks up its library function at
+# call time, so patching those names still takes effect.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="farey-approx",

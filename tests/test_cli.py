@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fareyapprox.cli as cli
 import fareyapprox.farey as farey
 import fareyapprox.mediants as mediants
 import fareyapprox.simultaneous as simultaneous
 from fareyapprox import farey_sequence
 from fareyapprox.cli import _build_parser, run
+from oracles import consecutive_pairs
 
 
 def invoke(capsys, argv):
@@ -149,6 +151,49 @@ def test_subdivide_rejects_non_consecutive_pair(capsys):
         capsys, ["subdivide", "--lo", "1/5", "--hi", "1/2", "--order", "5", "--gap", "1/7"]
     )
     assert code == 1 and "error" in err
+
+
+@st.composite
+def feasible_subdivisions(draw):
+    # A consecutive pair whose chain grows on the drawn side, and a gap bound
+    # from the widest rung (the longest chain) up to the pair's own gap (the
+    # two endpoints alone).
+    order = draw(st.integers(1, 40))
+    descending = draw(st.booleans()) or order == 1
+    base = draw(st.sampled_from([
+        p for p in consecutive_pairs(order)
+        if (p.right.denominator >= p.left.denominator) == descending
+    ]))
+    k1, k2 = base.left.denominator, base.right.denominator
+    anchor, step = (k2, k1) if descending else (k1, k2)
+    widest_rung = F(1, anchor * (anchor + step))
+    share = draw(st.sampled_from([F(0), F(1)]) | st.integers(1, 999).map(lambda i: F(i, 1000)))
+    return base, widest_rung + (base.right - base.left - widest_rung) * share
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_subdivisions())
+@example((consecutive_pairs(1)[0], F(1)))  # 0/1, 1/1 alone
+@example((consecutive_pairs(40)[0], F(1, 1640)))  # 1602 points from 0/1 to 1/40
+@example((consecutive_pairs(40)[-1], F(1, 1640)))  # the same, ascending to 1/1
+def test_subdivide_gap_summary_matches_subtraction(case):
+    # The trailer's gaps come from denominators; check them against the
+    # differences of the printed points.
+    base, gap = case
+    argv = ["subdivide", "--lo", str(base.left), "--hi", str(base.right),
+            "--order", str(base.order), "--gap", str(gap)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    lines = out.getvalue().splitlines()
+    start = lines.index("{")
+    points = [F(line) for line in lines[:start]]
+    trailer = json.loads("\n".join(lines[start:]))
+    gaps = [b - a for a, b in pairwise(points)]
+    assert trailer["points"] == len(points) >= 2
+    assert F(trailer["max_gap"]) == max(gaps) <= gap
+    assert F(trailer["min_gap"]) == min(gaps)
+    assert trailer["max_denominator"] == max(p.denominator for p in points)
 
 
 def test_solve_feasible(tmp_path, capsys):
@@ -381,6 +426,91 @@ def test_negative_looking_values_are_values(capsys):
     assert neighbors == invoke(capsys, ["neighbors", "--x=-sqrt2", "--order", "3"])
     code, out, err = neighbors
     assert code == 1 and out == "" and "outside [0, 1]" in err
+
+
+_COMMANDS = "{farey,neighbors,subdivide,solve,dirichlet,sweep,compare,selftest}"
+_TOP_HELP = f"""\
+usage: farey-approx [-h]
+                    {_COMMANDS}
+                    ...
+
+Simultaneous rational approximation with joint error/denominator control
+
+positional arguments:
+  {_COMMANDS}
+    farey               list a Farey sequence, one fraction per line
+    neighbors           bracket a value between consecutive Farey terms
+    subdivide           gap-bounded mediant subdivision of a Farey pair
+    solve               find one denominator fitting every constraint
+    dirichlet           classical pigeonhole baseline solver
+    sweep               feasibility sweep over a descending epsilon grid
+    compare             constrained solver vs. pigeonhole baseline
+    selftest            packaged smoke test
+
+options:
+  -h, --help            show this help message and exit
+"""
+_SUBDIVIDE_USAGE = """\
+usage: farey-approx subdivide [-h] --lo LO --hi HI --order ORDER --gap GAP
+                              [--max-denom MAX_DENOM]
+                              [--max-points MAX_POINTS]
+                              [--precision PRECISION]
+"""
+_SUBDIVIDE_HELP = _SUBDIVIDE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --lo LO
+  --hi HI
+  --order ORDER
+  --gap GAP             upper bound for consecutive gaps
+  --max-denom MAX_DENOM
+  --max-points MAX_POINTS
+  --precision PRECISION
+                        decimal digits kept for named constants (default 64)
+"""
+_MISSING_REQUIRED = _SUBDIVIDE_USAGE + (
+    "farey-approx subdivide: error: the following arguments are required: --hi, --gap\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["-h"], (0, _TOP_HELP, "")),
+        (["subdivide", "-h"], (0, _SUBDIVIDE_HELP, "")),
+        (["subdivide", "--lo", "1/3", "--order", "3"], (1, "", _MISSING_REQUIRED)),
+    ],
+)
+def test_help_and_usage_bytes(capsys, monkeypatch, argv, expected):
+    # Golden: help and usage text at 80 columns, the same on a second call
+    # in the same process.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, argv) == expected
+    assert invoke(capsys, argv) == expected
+
+
+def test_cached_parser_carries_no_state(tmp_path, capsys, monkeypatch):
+    # One parser serves every run() call; each call in a sequence that sets
+    # an option, fails to parse or prints help, and then leaves them out,
+    # must print what it prints on a parser of its own.
+    assert cli._build_parser() is cli._build_parser()
+    pair = write(tmp_path, "pair.txt", "1/3 1\n2/3 1\n")
+    mix = write(tmp_path, "mix.txt", "sqrt2 1\n1/3 1\n")
+    solve = ["solve", "--input", pair, "--epsilon", "1/10"]
+    sweep = ["sweep", "--input", mix, "--grid", "1/2,1/4,1/8"]
+    calls = [
+        solve + ["--method", "compose"], solve,
+        sweep + ["--csv"], sweep,
+        sweep + ["--points", "x"], sweep,
+        ["farey", "--order", "5", "--bogus"], ["farey", "--order", "5"],
+        ["solve", "--epsilon", "1/10"], solve + ["--precision", "30"], solve,
+        ["-h"], ["neighbors", "--x", "5/16", "--order", "7"],
+        ["sweep", "-h"], sweep,
+    ]
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [invoke(capsys, argv) for argv in calls]
+    assert [invoke(capsys, argv) for argv in calls] == fresh
 
 
 SELFTEST_STDOUT = """\
