@@ -12,7 +12,9 @@ number of decimal digits at parse time and converted exactly to a Fraction.
 Its digits come from integer arithmetic alone, ``math.isqrt`` or, for ``pi``
 and ``e``, series with a proven error bracket, so every digit is certified.
 All downstream guarantees then hold exactly for the stand-in.  The stand-in
-is reproducible bit-for-bit from the precision parameter alone.
+is reproducible bit-for-bit from the precision parameter alone.  A
+constant's digits are computed once per process, at the highest precision
+asked for so far; a lower precision truncates them.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ MAX_LITERAL_DIGITS = 4000
 MAX_LITERAL_EXPONENT = 10_000
 
 _SQUARE_ROOTS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
+# Name -> (top, floor(c * 10**top)) for the highest precision top asked for
+# so far: at most one integer of at most MAX_PRECISION digits per name.
+_SCALED_FLOORS: dict[str, tuple[int, int]] = {}
 # The exponent as Fraction reads it, digit groups joined by "_" included.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
@@ -111,15 +116,7 @@ def parse_real(text: str, precision: int = DEFAULT_PRECISION) -> Fraction:
     name = s.lower()
     if name[0] == "-" and name[1:] in CONSTANT_NAMES:
         return -parse_real(name[1:], precision)
-    if name in _SQUARE_ROOTS:
-        scale = 10**precision
-        return Fraction(math.isqrt(_SQUARE_ROOTS[name] * scale * scale), scale)
-    if name == "phi":
-        # (1 + sqrt(5))/2 scaled: floor((a + s)/2) == (a + floor(s)) // 2
-        # for irrational s and integer a.
-        scale = 10**precision
-        return Fraction((scale + math.isqrt(5 * scale * scale)) // 2, scale)
-    if name in ("pi", "e"):
+    if name in CONSTANT_NAMES:
         return Fraction(_scaled_floor(name, precision), 10**precision)
     if s[0].isalpha():
         raise InvalidInputError(
@@ -129,17 +126,33 @@ def parse_real(text: str, precision: int = DEFAULT_PRECISION) -> Fraction:
 
 
 def _scaled_floor(name: str, precision: int) -> int:
-    # floor(c * 10**precision) for c in {pi, e}.  _series brackets c * one
-    # for one = 10**(precision + guard); once both ends of the bracket agree
-    # with the guard digits dropped, their common floor is the answer.  A
-    # run of 9s or 0s after the last kept digit needs a larger guard.
-    guard = 10
-    while True:
-        approx, err = _series(name, 10 ** (precision + guard))
-        lo = (approx - err) // 10**guard
-        if lo == (approx + err) // 10**guard:
-            return lo
-        guard *= 2
+    # floor(c * 10**precision) for the named constant c.  A precision at or
+    # below the memo's drops digits from its floor, which is exact because
+    # floor(floor(y)/m) == floor(y/m) for every integer m >= 1.
+    top, floor = _SCALED_FLOORS.get(name, (-1, 0))
+    if precision <= top:
+        return floor // 10 ** (top - precision)
+    scale = 10**precision
+    if name in _SQUARE_ROOTS:
+        floor = math.isqrt(_SQUARE_ROOTS[name] * scale * scale)
+    elif name == "phi":
+        # (1 + sqrt(5))/2 scaled: floor((a + s)/2) == (a + floor(s)) // 2
+        # for irrational s and integer a.
+        floor = (scale + math.isqrt(5 * scale * scale)) // 2
+    else:
+        # _series brackets c * one for one = 10**(precision + guard); once
+        # both ends of the bracket agree with the guard digits dropped,
+        # their common floor is the answer.  A run of 9s or 0s after the
+        # last kept digit needs a larger guard.
+        guard = 10
+        while True:
+            approx, err = _series(name, 10 ** (precision + guard))
+            floor = (approx - err) // 10**guard
+            if floor == (approx + err) // 10**guard:
+                break
+            guard *= 2
+    _SCALED_FLOORS[name] = precision, floor
+    return floor
 
 
 def _series(name: str, one: int) -> tuple[int, int]:

@@ -186,7 +186,12 @@ def check_solution(
 
 
 def _exact_errors(xs: Sequence[Fraction], q: int, ps: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(abs(x - Fraction(p, q)) for x, p in zip(xs, ps))
+    # |x - p/q| = |xn*q - p*xd| / (xd*q) for x = xn/xd: one normalisation
+    # per item.
+    return tuple(
+        Fraction(abs(x.numerator * q - p * x.denominator), x.denominator * q)
+        for x, p in zip(xs, ps)
+    )
 
 
 def _nearest(xn: int, xd: int, q: int) -> tuple[int, int]:
@@ -341,7 +346,9 @@ def _smallest_witnesses(
 
     :func:`_first_fit` walks the window of the pivot item, the first with
     the smallest t_i, so a scan visits at most about 2*t_pivot*t_min of
-    its range.
+    its range.  Each point is set up in integers from the numerators and
+    denominators of eps, x_i and t_i, read once per call: its range end
+    floor(t_min/eps) and each item's bound build no Fraction.
     """
     witnesses: list[Solution | None] = []
     start = 1
@@ -349,21 +356,26 @@ def _smallest_witnesses(
     # Every candidate is in the pivot's window, so test the pivot last and
     # the other items from the tightest bound up: a miss shows sooner.
     order = sorted(range(cs.n), key=lambda i: (i == pivot, cs.items[i][1]))
+    tn_min, td_min = cs.t_min.numerator, cs.t_min.denominator
+    parts = []
+    for i in order:
+        x, t = cs.items[i]
+        parts.append((i, x.numerator, x.denominator, t.numerator, t.denominator))
+    xs = cs.xs
     for epsilon in grid:
-        q_max = math.floor(cs.t_min / epsilon)
+        en, ed = epsilon.numerator, epsilon.denominator
+        q_max = (tn_min * ed) // (td_min * en)
         limit = min(q_max, max_scan)
-        # Integer form: |x - p/q| <= eps*t with x = xn/xd and eps*t = bn/bd
-        # becomes d * bd <= bn * xd * q with (p, d) = _nearest(xn, xd, q).
-        items = []
-        for i in order:
-            x, t = cs.items[i]
-            bound = epsilon * t
-            xn, xd = x.numerator, x.denominator
-            items.append((i, xn, xd, bound.numerator * xd, 0, bound.denominator))
+        # Integer form: |x - p/q| <= eps*t with x = xn/xd, eps = en/ed and
+        # t = tn/td becomes d * ed*td <= en*tn*xd * q with (p, d) =
+        # _nearest(xn, xd, q).  The bound en*tn/(ed*td) is left unreduced:
+        # the test and the window floor((a*b + c)/den) depend only on its
+        # value, so they match those of the reduced eps*t and need no gcd.
+        items = [(i, xn, xd, en * tn * xd, 0, ed * td) for i, xn, xd, tn, td in parts]
         fit = _first_fit(items, start, limit)
         if fit is not None:
             q, ps = fit
-            witnesses.append(Solution(q, ps, _exact_errors(cs.xs, q, ps), epsilon, "brute"))
+            witnesses.append(Solution(q, ps, _exact_errors(xs, q, ps), epsilon, "brute"))
             start = q
             continue
         if q_max > max_scan:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import fareyapprox.rationals as rationals
 from fareyapprox import (
+    CONSTANT_NAMES,
     InvalidInputError,
     format_rational,
     fractional_part,
@@ -22,6 +24,7 @@ from fareyapprox.rationals import (
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
     MAX_PRECISION,
+    _scaled_floor,
     _series,
 )
 
@@ -145,10 +148,62 @@ def test_pi_e_standins_are_truncations_of_pinned_digits(name):
         assert approx - err <= big // 10 ** (2000 - digits) < approx + err, digits
     # Truncating the pinned 2000 digits gives every shorter stand-in.  At
     # 761 digits six 9s follow (the Feynman point), so the first guard size
-    # cannot decide the floor of pi and the guard-doubling retry runs.
+    # cannot decide the floor of pi; since 2000 is asked for first, the
+    # memo answers 761 here, and test_pi_761_from_empty_memo_retries_guard
+    # runs the guard-doubling retry.
     for precision in [*range(1, 401), 761, 762, 763, 1000, 1500, 2000]:
         expected = F(big // 10 ** (2000 - precision), 10**precision)
         assert parse_real(name, precision) == expected, precision
+
+
+@pytest.fixture
+def series_rounds(monkeypatch):
+    # Starts from an empty memo and counts the _series rounds run.
+    monkeypatch.setattr(rationals, "_SCALED_FLOORS", {})
+    rounds = []
+
+    def counted(name, one):
+        rounds.append(name)
+        return _series(name, one)
+
+    monkeypatch.setattr(rationals, "_series", counted)
+    return rounds
+
+
+def fresh_floor(monkeypatch, name, precision):
+    with monkeypatch.context() as m:
+        m.setattr(rationals, "_SCALED_FLOORS", {})
+        return _scaled_floor(name, precision)
+
+
+@pytest.mark.parametrize("name", CONSTANT_NAMES)
+def test_memo_answers_equal_fresh_computations(name, monkeypatch):
+    precisions = [1, 2, 9, 10, 11, 64, 300, 761, 1000]
+    shuffled = precisions[:]
+    random.Random(505).shuffle(shuffled)
+    expected = {p: fresh_floor(monkeypatch, name, p) for p in precisions}
+    for order in (precisions, precisions[::-1], shuffled):
+        monkeypatch.setattr(rationals, "_SCALED_FLOORS", {})
+        for p in order:
+            assert _scaled_floor(name, p) == expected[p], (order, p)
+            assert parse_real(name, p) == F(expected[p], 10**p)
+        assert list(rationals._SCALED_FLOORS) == [name]
+        assert rationals._SCALED_FLOORS[name][0] == max(precisions)
+
+
+def test_pi_761_from_empty_memo_retries_guard(series_rounds):
+    stand_in = parse_real("pi", 761)
+    assert len(series_rounds) >= 2
+    big = int(parse_real("pi", 2000) * 10**2000)
+    assert hashlib.sha256(str(big).encode()).hexdigest() == DIGESTS_2000["pi"]
+    assert stand_in == F(big // 10**1239, 10**761)
+
+
+def test_signed_constant_shares_memo_entry(series_rounds):
+    assert parse_real("-pi", 30) == -parse_real("pi", 30)
+    assert parse_real("PI", 20) == F(PI_50[:22])
+    assert series_rounds == ["pi"]
+    assert list(rationals._SCALED_FLOORS) == ["pi"]
 
 
 def test_cli_import_needs_no_mpmath():

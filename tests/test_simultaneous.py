@@ -115,6 +115,30 @@ def test_best_numerator_optimality():
             assert err <= abs(x - F(other, q))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+            st.one_of(st.integers(-2, 2), st.integers(-10**9, 10**9)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 10**4),
+)
+def test_exact_errors_equal_fraction_subtraction(items, q):
+    # check_solution uses _exact_errors, and selftest's Fraction scan, the
+    # reference of the sweep and oracle tests, uses check_solution, so the
+    # errors are checked here against plain Fraction arithmetic: p is the
+    # nearest numerator, one near it, or one far off.
+    xs = [x for x, _ in items]
+    ps = [best_numerator(x, q) + offset for x, offset in items]
+    assert simultaneous._exact_errors(xs, q, ps) == tuple(
+        abs(x - F(p, q)) for x, p in zip(xs, ps)
+    )
+
+
 def test_brute_force_examples():
     sol = brute_force_solve(cs((F(1, 2), F(1))), F(3, 10))
     assert (sol.q, sol.ps, sol.errors) == (2, (1,), (F(0),))
@@ -427,9 +451,11 @@ def reference_smallest(c, eps, max_scan):
 @st.composite
 def sweep_instances(draw):
     # Small denominators make exact ties (2*rem = xd) common, and the
-    # t_min/m points put eps*q = t_min on the boundary.
+    # t_min/m points put eps*q = t_min on the boundary.  Weights with
+    # numerators above 1 make the unreduced bound en*tn/(ed*td) share
+    # factors between its numerator and denominator.
     n = draw(st.integers(1, 4))
-    weights = st.sampled_from([F(1), F(1, 2), F(1, 10)])
+    weights = st.sampled_from([F(1), F(1, 2), F(1, 10), F(3, 4), F(5, 2), F(7, 10)])
     c = cs(*[
         (F(draw(st.integers(-12, 12)), draw(st.integers(1, 12))), draw(weights))
         for _ in range(n)
