@@ -27,7 +27,7 @@ from fareyapprox import FareyPair
 pair = FareyPair(terms[0], terms[1], 7)
 walked = [pair.left, pair.right]
 while walked[-1] != 1:
-    nxt = farey_next(7, FareyPair(walked[-2], walked[-1], 7))
+    nxt = farey_next(FareyPair(walked[-2], walked[-1], 7))
     walked.append(nxt)
 assert walked == terms
 print("  recurrence reproduces the whole sequence, no sorting involved")

@@ -26,8 +26,6 @@ from .farey import (
     verify_farey_properties,
 )
 from .mediants import (
-    ChainSide,
-    MediantChain,
     Subdivision,
     ascending_chain,
     ascending_step_gap,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "CONSTANT_NAMES",
-    "ChainSide",
     "CheckReport",
     "ComparisonReport",
     "ConstraintSet",
@@ -85,7 +82,6 @@ __all__ = [
     "InternalError",
     "InvalidInputError",
     "ItemCheck",
-    "MediantChain",
     "PropertyCheck",
     "PropertyReport",
     "Solution",

@@ -104,11 +104,11 @@ def _json(value: object) -> object:
     return obj
 
 
-def _parse_positive_epsilon(text: str) -> Fraction:
-    eps = parse_rational(text)
-    if eps <= 0:
-        raise InvalidInputError("epsilon must be positive")
-    return eps
+def _parse_positive(text: str, name: str) -> Fraction:
+    value = parse_rational(text)
+    if value <= 0:
+        raise InvalidInputError(f"{name} must be positive")
+    return value
 
 
 def _int_nth_root(x: int, n: int) -> int:
@@ -127,12 +127,12 @@ def _int_nth_root(x: int, n: int) -> int:
 
 def _build_grid(args) -> tuple[Fraction, ...]:
     if args.grid is not None:
-        points = tuple(_parse_positive_epsilon(part) for part in args.grid.split(","))
+        points = tuple(_parse_positive(part, "epsilon") for part in args.grid.split(","))
     else:
         if args.eps_max is None or args.eps_min is None or args.points is None:
             raise InvalidInputError("sweep needs --grid or all of --eps-max/--eps-min/--points")
-        top = _parse_positive_epsilon(args.eps_max)
-        bottom = _parse_positive_epsilon(args.eps_min)
+        top = _parse_positive(args.eps_max, "epsilon")
+        bottom = _parse_positive(args.eps_min, "epsilon")
         count = args.points
         if count < 2 or bottom >= top:
             raise InvalidInputError("need --points >= 2 and --eps-min < --eps-max")
@@ -166,8 +166,6 @@ def _build_grid(args) -> tuple[Fraction, ...]:
             points = tuple(
                 bottom + span * Fraction(count - 1 - k, count - 1) for k in range(count)
             )
-    if any(a <= b for a, b in zip(points, points[1:])):
-        raise InvalidInputError("grid must be strictly descending")
     return points
 
 
@@ -203,7 +201,7 @@ def _cmd_neighbors(args) -> int:
 def _cmd_subdivide(args) -> int:
     lo = parse_real(args.lo, args.precision)
     hi = parse_real(args.hi, args.precision)
-    gap = _parse_positive_epsilon(args.gap)
+    gap = _parse_positive(args.gap, "gap bound")
     base = FareyPair(lo, hi, args.order)
     denom_bound = args.max_denom
     if denom_bound is None:
@@ -230,7 +228,7 @@ def _cmd_subdivide(args) -> int:
 
 def _cmd_solve(args) -> int:
     cs = _read_constraints(args.input, args.precision)
-    eps = _parse_positive_epsilon(args.epsilon)
+    eps = _parse_positive(args.epsilon, "epsilon")
     if args.method == "compose":
         result = compose_solve(cs, eps)
     else:
@@ -271,7 +269,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compare(args) -> int:
     cs = _read_constraints(args.input, args.precision)
-    eps = _parse_positive_epsilon(args.epsilon)
+    eps = _parse_positive(args.epsilon, "epsilon")
     report = compare(cs, eps, args.T, max_scan=_max_scan())
     _emit_json(_json(report), args.precision)
     return 0

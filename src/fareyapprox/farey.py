@@ -131,16 +131,13 @@ def farey_sequence(order: int, lo: Fraction | None = None) -> Iterator[Fraction]
         yield Fraction(h, k)
 
 
-def farey_next(order: int, current: FareyPair) -> Fraction:
-    """The element of F_order immediately after ``current.right``."""
-    _require_order(order)
-    if current.order != order:
-        raise InvalidInputError(f"pair has order {current.order}, expected {order}")
+def farey_next(current: FareyPair) -> Fraction:
+    """The element of F_order right after ``current.right``; order = current.order."""
     if current.right == 1:
         raise EndOfSequenceError("1/1 is the last element of every Farey sequence")
     a, b = current.left.numerator, current.left.denominator
     c, d = current.right.numerator, current.right.denominator
-    k = (order + b) // d
+    k = (current.order + b) // d
     return Fraction(k * c - a, k * d - b)
 
 

@@ -14,32 +14,12 @@ without any searching.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 
 from ._record import record
 from .errors import BudgetExceededError, InfeasibleError, InvalidInputError
 from .farey import FareyPair
-
-
-class ChainSide(enum.Enum):
-    DESCENDING = "descending"
-    ASCENDING = "ascending"
-
-
-@record
-class MediantChain:
-    """A ladder of mediants leaning on one endpoint of ``base``.
-
-    Descending chains start at base.right and strictly decrease toward
-    base.left; ascending chains start at base.left and strictly increase
-    toward base.right.  Every term is reduced.
-    """
-
-    terms: tuple[Fraction, ...]
-    side: ChainSide
-    base: FareyPair
 
 
 @record
@@ -60,22 +40,26 @@ def _require_count(count: int) -> None:
         raise InvalidInputError("chain length must be a nonnegative integer")
 
 
-def descending_chain(base: FareyPair, count: int) -> MediantChain:
-    """Terms (h2 + i*h1)/(k2 + i*k1) for i = 0..count; strictly decreasing."""
+def descending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
+    """Terms (h2 + i*h1)/(k2 + i*k1) for i = 0..count, all reduced.
+
+    They start at base.right and strictly decrease toward base.left.
+    """
     _require_count(count)
     h1, k1 = base.left.numerator, base.left.denominator
     h2, k2 = base.right.numerator, base.right.denominator
-    terms = tuple(Fraction(h2 + i * h1, k2 + i * k1) for i in range(count + 1))
-    return MediantChain(terms, ChainSide.DESCENDING, base)
+    return tuple(Fraction(h2 + i * h1, k2 + i * k1) for i in range(count + 1))
 
 
-def ascending_chain(base: FareyPair, count: int) -> MediantChain:
-    """Terms (h1 + j*h2)/(k1 + j*k2) for j = 0..count; strictly increasing."""
+def ascending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
+    """Terms (h1 + j*h2)/(k1 + j*k2) for j = 0..count, all reduced.
+
+    They start at base.left and strictly increase toward base.right.
+    """
     _require_count(count)
     h1, k1 = base.left.numerator, base.left.denominator
     h2, k2 = base.right.numerator, base.right.denominator
-    terms = tuple(Fraction(h1 + j * h2, k1 + j * k2) for j in range(count + 1))
-    return MediantChain(terms, ChainSide.ASCENDING, base)
+    return tuple(Fraction(h1 + j * h2, k1 + j * k2) for j in range(count + 1))
 
 
 def descending_step_gap(base: FareyPair, i: int) -> Fraction:
@@ -163,9 +147,7 @@ def subdivide(
     if p + 2 > max_points:
         raise BudgetExceededError(f"subdivision needs {p + 2} points, max_points={max_points}")
     if descending:
-        chain = descending_chain(base, p)
-        points = (left,) + tuple(reversed(chain.terms))
+        points = (left,) + descending_chain(base, p)[::-1]
     else:
-        chain = ascending_chain(base, p)
-        points = chain.terms + (right,)
+        points = ascending_chain(base, p) + (right,)
     return Subdivision(points, gap_bound, denom_bound)

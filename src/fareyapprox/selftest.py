@@ -42,8 +42,8 @@ def _gap_identity_checks(
     failures = []
     for base, i, j in triples:
         checks += 4
-        down = mediants.descending_chain(base, i + 1).terms
-        up = mediants.ascending_chain(base, j + 1).terms
+        down = mediants.descending_chain(base, i + 1)
+        up = mediants.ascending_chain(base, j + 1)
         where = f"base {base.left},{base.right}"
         if down[i] - down[i + 1] != mediants.descending_step_gap(base, i):
             failures.append(f"descending step gap, {where}, i={i}")

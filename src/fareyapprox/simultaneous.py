@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
@@ -47,6 +47,8 @@ from .farey import ExactHit, farey_neighbors
 
 #: Default cap on exhaustive denominator scans.
 DEFAULT_MAX_SCAN = 10_000_000
+# The smallest count that str() refuses to print by default (4301 digits).
+_PRINT_LIMIT = 10**4300
 
 
 @record
@@ -160,13 +162,14 @@ def check_solution(
     epsilon: Fraction,
     q: int,
     ps: Sequence[int],
-    strict: bool = False,
 ) -> CheckReport:
     """Exact check of the joint constraint for a proposed (q, ps).
 
-    Per item: |x_i - p_i/q| <= eps*t_i (strictly < with ``strict=True``).
-    The denominator condition is tested in its equivalent single form
-    eps*q <= t_min.  ``overall`` is the conjunction of everything.
+    Per item: |x_i - p_i/q| <= eps*t_i, non-strict as in the constraint;
+    ``per_item`` carries each exact error and bound, so a caller can
+    read a strict test off it.  The denominator condition is tested in
+    its equivalent single form eps*q <= t_min.  ``overall`` is the
+    conjunction of everything.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -178,8 +181,7 @@ def check_solution(
     per_item = []
     for (_, t), err in zip(cs.items, _exact_errors(cs.xs, q, ps)):
         bound = epsilon * t
-        ok = err < bound if strict else err <= bound
-        per_item.append(ItemCheck(ok, err, bound))
+        per_item.append(ItemCheck(err <= bound, err, bound))
     denom_ok = epsilon * q <= cs.t_min
     overall = denom_ok and all(item.error_ok for item in per_item)
     return CheckReport(tuple(per_item), denom_ok, overall)
@@ -192,6 +194,14 @@ def _exact_errors(xs: Sequence[Fraction], q: int, ps: Sequence[int]) -> tuple[Fr
         Fraction(abs(x.numerator * q - p * x.denominator), x.denominator * q)
         for x, p in zip(xs, ps)
     )
+
+
+def _count_text(count: int) -> str:
+    # A count for a message: in decimal below str()'s default limit of 4300
+    # digits, else by its size, as a lower bound.
+    if count < _PRINT_LIMIT:
+        return str(count)
+    return f"2**{count.bit_length() - 1} or more"
 
 
 def _nearest(xn: int, xd: int, q: int) -> tuple[int, int]:
@@ -231,19 +241,20 @@ def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
 
 
 def _window_hits(
-    xn: int, xd: int, lo: int, hi: int, width: Callable[[int], int]
+    xn: int, xd: int, lo: int, hi: int, a: int, c: int, den: int
 ) -> Iterator[int]:
     """Yield, ascending, every q in lo..hi with _nearest(xn, xd, q)[1] <= C.
 
-    xn/xd must be in lowest terms.  The half-width C = width(b) is fixed per
-    doubling block [2**k, 2**(k+1) - 1] of q, where b is the block's last q
-    (at most hi); ``width`` must not decrease in b, so a hit of one block's
-    window is a hit of the next block's.  The walk starts in the block that
-    holds lo, at the last hit below lo, which :func:`_first_in_window`
-    finds by walking back from lo - 1 (q = 0 always hits, so there is
-    one).  It carries into each later block the last hit of the blocks
-    before.  Once the window covers all residues, q runs through the rest
-    of the range one by one.
+    xn/xd must be in lowest terms, and a >= 0, c >= 0 and den >= 1.  The
+    half-width C = (a*b + c) // den is fixed per doubling block
+    [2**k, 2**(k+1) - 1] of q, where b is the block's last q (at most hi);
+    it does not decrease in b, so a hit of one block's window is a hit of
+    the next block's.  The walk starts in the block that holds lo, at the
+    last hit below lo, which :func:`_first_in_window` finds by walking
+    back from lo - 1 (q = 0 always hits, so there is one).  It carries
+    into each later block the last hit of the blocks before.  Once the
+    window covers all residues, q runs through the rest of the range one
+    by one.
     """
     lo = max(lo, 1)
     if lo > hi:
@@ -251,12 +262,12 @@ def _window_hits(
     q, k = None, lo.bit_length() - 1
     while 1 << k <= hi:
         first, last = max(lo, 1 << k), min((2 << k) - 1, hi)
-        c = width(last)
-        w = 2 * c + 1
+        h = (a * last + c) // den
+        w = 2 * h + 1
         if w >= xd:
             yield from range(first, hi + 1)
             return
-        # Shifted residues s = (xn*q + c) mod xd put the window at 0..w-1.
+        # Shifted residues s = (xn*q + h) mod xd put the window at 0..w-1.
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
         # the first whose residue moves back by v < w.  They are the first
         # left and right endpoints of the Stern-Brocot descent on xn/xd
@@ -278,10 +289,10 @@ def _window_hits(
                 u = v = 0
         if q is None:
             # Walking back from lo - 1 moves the residue by -xn per step.
-            q = lo - 1 - _first_in_window(-xn, xn * (lo - 1) + c, xd, w)
+            q = lo - 1 - _first_in_window(-xn, xn * (lo - 1) + h, xd, w)
         # Three-gap rule: u + v >= w, so at most one of s + u and s - v
         # stays in the window; when neither does, s + u - v does.
-        s = (xn * q + c) % xd
+        s = (xn * q + h) % xd
         while True:
             if s + u < w:
                 step, s = q1, s + u
@@ -305,15 +316,15 @@ def _first_fit(
     An item (i, xn, xd, a, c, den) fits q when d * den <= a*q + c, where
     (p, d) = _nearest(xn, xd, q); its numerator p is the i-th of the
     returned ones.  The candidates are lo, then the q above it that
-    :func:`_window_hits` yields for the last item, with the half-width
-    (a*b + c) // den for the block ending at b: every q <= b that fits
-    that item lies in this window, so no fit is missed.  The walk is lazy,
+    :func:`_window_hits` yields for the last item's (a, c, den), whose
+    half-width (a*b + c) // den on the block ending at b holds every
+    q <= b that fits that item, so no fit is missed.  The walk is lazy,
     so it starts only if lo fails.
     """
     if lo > hi:
         return None
     _, wn, wd, wa, wc, wden = items[-1]
-    walk = _window_hits(wn, wd, lo + 1, hi, lambda b: (wa * b + wc) // wden)
+    walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden)
     ps = [0] * len(items)
     for q in itertools.chain((lo,), walk):
         for i, xn, xd, a, c, den in items:
@@ -380,7 +391,8 @@ def _smallest_witnesses(
             continue
         if q_max > max_scan:
             raise BudgetExceededError(
-                f"scan budget exhausted after {max_scan} of {q_max} denominators"
+                f"scan budget exhausted after {_count_text(max_scan)} of "
+                f"{_count_text(q_max)} denominators"
             )
         witnesses.append(None)
         start = max(start, limit + 1)
@@ -394,10 +406,13 @@ def brute_force_solve(
 ) -> Union[Solution, Infeasible]:
     """Exhaustive smallest-q solver; the oracle for everything else.
 
-    Scans q = 1 .. floor(t_min/eps) with p_i chosen as the nearest
-    numerator, and returns the first q whose exact errors all fit.  If
-    the scan range exceeds ``max_scan`` and no solution appears within
-    the budget, BudgetExceededError is raised rather than guessing.
+    Decides the range q = 1 .. floor(t_min/eps) with p_i chosen as the
+    nearest numerator, and returns the first q whose exact errors all
+    fit.  It walks the error window of the pivot item, the first with the
+    smallest t_i, and puts each q there through the exact test of every
+    item, so its answer is that of a full scan.  If the scan range exceeds
+    ``max_scan`` and no solution appears within the budget,
+    BudgetExceededError is raised rather than guessing.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -429,13 +444,12 @@ def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
 def compose_solve(
     cs: ConstraintSet,
     epsilon: Fraction,
-    stage_order: int | None = None,
     max_denominator: int = 10**30,
 ) -> Solution:
     """Common-denominator composition heuristic.
 
-    Stage 1 approximates x_1 by Farey bracketing at ``stage_order``
-    (default ceil(1/eps), the natural scale of eps).  Each later stage
+    Stage 1 approximates x_1 by Farey bracketing at order ceil(1/eps),
+    the natural scale of eps.  Each later stage
     approximates q * x_k the same way and multiplies the denominators:
     Q <- q * q_k, with earlier numerators rescaled by q_k.  The result
     carries exact errors and a ``satisfies_constraints`` flag computed by
@@ -445,10 +459,7 @@ def compose_solve(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
-    if stage_order is None:
-        stage_order = max(1, math.ceil(1 / epsilon))
-    if not isinstance(stage_order, int) or stage_order < 1:
-        raise InvalidInputError("stage order must be a positive integer")
+    stage_order = math.ceil(1 / epsilon)
     xs = cs.xs
     p1, q = _best_at_order(xs[0], stage_order)
     ps = [p1]
@@ -456,7 +467,8 @@ def compose_solve(
         pk, qk = _best_at_order(x * q, stage_order)
         if q * qk > max_denominator:
             raise BudgetExceededError(
-                f"stage denominator {q * qk} exceeds cap {max_denominator}"
+                f"stage denominator {_count_text(q * qk)} exceeds cap "
+                f"{_count_text(max_denominator)}"
             )
         ps = [p * qk for p in ps]
         ps.append(pk)
@@ -486,9 +498,20 @@ def dirichlet_solve(
         raise InvalidInputError("need at least one target")
     if not isinstance(T, int) or T < 2:
         raise InvalidInputError("T must be an integer >= 2")
-    q_max = T ** len(xs) - 1
+    # T**n >= 2**k.  Once k reaches the bit lengths of both max_scan + 1 and
+    # the print limit, T**n - 1 is past the budget and too long to print,
+    # so 2**k - 1 stands in for it: the power takes seconds for a long T
+    # and many targets.  Otherwise k is small or the budget is huge, and
+    # T**n < 4**k (as n <= k) costs little next to either.
+    k = len(xs) * (T.bit_length() - 1)
+    if k >= max((max_scan + 1).bit_length(), _PRINT_LIMIT.bit_length()):
+        q_max = (1 << k) - 1
+    else:
+        q_max = T ** len(xs) - 1
     if q_max > max_scan:
-        raise BudgetExceededError(f"T**n - 1 = {q_max} exceeds scan budget {max_scan}")
+        raise BudgetExceededError(
+            f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"
+        )
     # ||q*x|| <= 1/T is d * T <= xd with (p, d) = _nearest(xn, xd, q).
     items = [(i, x.numerator, x.denominator, 0, x.denominator, T) for i, x in enumerate(xs)]
     fit = _first_fit(items, 1, q_max)

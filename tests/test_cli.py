@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from itertools import pairwise
 from pathlib import Path
@@ -144,6 +145,19 @@ def test_subdivide_infeasible_exit_code(capsys):
     )
     assert code == 2 and out == ""
     assert "infeasible" in err
+    # A gap bound the chain meets only past the denominator cap.
+    argv = ["subdivide", "--lo", "0", "--hi", "1", "--order", "1",
+            "--gap", "1/2", "--max-denom", "1"]
+    assert invoke(capsys, argv) == (
+        2, "", "infeasible: gap bound 1/2 needs a chain denominator of 2 > 1\n"
+    )
+
+
+def test_subdivide_gap_must_be_positive(capsys):
+    # Checked before --max-denom's default divides by the gap.
+    for gap in ("0", "-1/7"):
+        argv = ["subdivide", "--lo", "1/3", "--hi", "1/2", "--order", "3", "--gap", gap]
+        assert invoke(capsys, argv) == (1, "", "error: gap bound must be positive\n")
 
 
 def test_subdivide_rejects_non_consecutive_pair(capsys):
@@ -281,6 +295,11 @@ def test_sweep_csv(tmp_path, capsys):
     assert lines[0] == "epsilon,feasible,q,max_error"
     assert lines[1] == "1/2,true,1,1/2"
     assert lines[2] == "1/4,true,2,0/1"
+    # An infeasible point leaves q and max_error empty.
+    path = write(tmp_path, "narrow.txt", "1/2 1/2\n")
+    assert invoke(capsys, ["sweep", "--input", path, "--grid", "1,1/4", "--csv"]) == (
+        0, "epsilon,feasible,q,max_error\n1/1,false,,\n1/4,true,2,0/1\n", ""
+    )
 
 
 def test_sweep_generated_grids(tmp_path, capsys):
@@ -403,6 +422,29 @@ def test_scan_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FAREY_APPROX_MAX_SCAN", "bogus")
     code, _, err = invoke(capsys, ["solve", "--input", path, "--epsilon", "1/1000"])
     assert code == 1 and "FAREY_APPROX_MAX_SCAN" in err
+
+
+@pytest.mark.parametrize(
+    "argv, items",
+    [
+        (["solve", "--epsilon", "1e-5000"], 2),
+        (["compare", "--epsilon", "1e-5000", "--T", "10"], 2),
+        (["solve", "--epsilon", "1e-5000", "--method", "compose", "--precision", "5000"], 2),
+        (["dirichlet", "--T", "1" + "0" * 2200], 2),
+        (["dirichlet", "--T", "1" + "0" * 3999], 3000),
+    ],
+)
+def test_budget_error_with_a_count_too_long_to_print(tmp_path, capsys, argv, items):
+    # q_max = 10**5000, compose's stage denominator and T**n - 1 have more
+    # digits than str() prints, so the message gives their size; T**n is
+    # never taken for the last case.
+    path = write(tmp_path, "roots.txt", "sqrt2 1\nsqrt3 1\n" * (items // 2))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, [argv[0], "--input", path, *argv[1:]])
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    assert " or more " in err
 
 
 def test_usage_errors(capsys):
@@ -586,8 +628,8 @@ def test_selftest_catches_a_broken_oracle(capsys, monkeypatch):
 def test_selftest_catches_an_oracle_scanning_past_its_range(capsys, monkeypatch):
     walk = simultaneous._window_hits
 
-    def overshoot(xn, xd, lo, hi, width):
-        return walk(xn, xd, lo, 2 * hi, width)
+    def overshoot(xn, xd, lo, hi, *bound):
+        return walk(xn, xd, lo, 2 * hi, *bound)
 
     monkeypatch.setattr(simultaneous, "_window_hits", overshoot)
     assert "oracle vs Fraction scan: FAIL" in failed_selftest(capsys)

@@ -81,9 +81,9 @@ def test_farey_pair_validation():
 
 
 def test_farey_next_examples():
-    assert farey_next(5, FareyPair(F(0), F(1, 5), 5)) == F(1, 4)
-    assert farey_next(5, FareyPair(F(3, 4), F(4, 5), 5)) == F(1)
-    assert farey_next(2, FareyPair(F(0), F(1, 2), 2)) == F(1)
+    assert farey_next(FareyPair(F(0), F(1, 5), 5)) == F(1, 4)
+    assert farey_next(FareyPair(F(3, 4), F(4, 5), 5)) == F(1)
+    assert farey_next(FareyPair(F(0), F(1, 2), 2)) == F(1)
 
 
 def test_farey_next_walks_whole_sequence():
@@ -91,7 +91,7 @@ def test_farey_next_walks_whole_sequence():
     terms = list(farey_sequence(order))
     for i in range(len(terms) - 2):
         pair = FareyPair(terms[i], terms[i + 1], order)
-        nxt = farey_next(order, pair)
+        nxt = farey_next(pair)
         assert nxt == terms[i + 2]
         # the advanced pair is unimodular again
         assert terms[i + 1].denominator * nxt.numerator - terms[i + 1].numerator * nxt.denominator == 1
@@ -100,9 +100,7 @@ def test_farey_next_walks_whole_sequence():
 def test_farey_next_end_signal():
     pair = FareyPair(F(4, 5), F(1), 5)
     with pytest.raises(EndOfSequenceError):
-        farey_next(5, pair)
-    with pytest.raises(InvalidInputError):
-        farey_next(7, pair)  # order mismatch
+        farey_next(pair)
 
 
 def test_farey_neighbors_examples():

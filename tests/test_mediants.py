@@ -7,7 +7,6 @@ import pytest
 import fareyapprox.mediants as mediants
 from fareyapprox import (
     BudgetExceededError,
-    ChainSide,
     FareyPair,
     InfeasibleError,
     InvalidInputError,
@@ -29,29 +28,27 @@ def random_pair(rng, max_order=60):
 
 
 def test_descending_chain_examples():
-    assert descending_chain(UNIT, 2).terms == (F(1), F(1, 2), F(1, 3))
-    assert descending_chain(THIRD_HALF, 2).terms == (F(1, 2), F(2, 5), F(3, 8))
+    assert descending_chain(UNIT, 2) == (F(1), F(1, 2), F(1, 3))
+    assert descending_chain(THIRD_HALF, 2) == (F(1, 2), F(2, 5), F(3, 8))
     five = FareyPair(F(0), F(1, 5), 5)
-    assert descending_chain(five, 0).terms == (F(1, 5),)
+    assert descending_chain(five, 0) == (F(1, 5),)
 
 
 def test_ascending_chain_examples():
-    assert ascending_chain(UNIT, 2).terms == (F(0), F(1, 2), F(2, 3))
-    assert ascending_chain(THIRD_HALF, 2).terms == (F(1, 3), F(2, 5), F(3, 7))
+    assert ascending_chain(UNIT, 2) == (F(0), F(1, 2), F(2, 3))
+    assert ascending_chain(THIRD_HALF, 2) == (F(1, 3), F(2, 5), F(3, 7))
     half = FareyPair(F(0), F(1, 2), 2)
-    assert ascending_chain(half, 1).terms == (F(0), F(1, 3))
+    assert ascending_chain(half, 1) == (F(0), F(1, 3))
 
 
 def test_chain_metadata_and_monotonicity():
     down = descending_chain(THIRD_HALF, 6)
     up = ascending_chain(THIRD_HALF, 6)
-    assert down.side is ChainSide.DESCENDING and up.side is ChainSide.ASCENDING
-    assert down.base is THIRD_HALF
-    assert all(a > b for a, b in zip(down.terms, down.terms[1:]))
-    assert all(a < b for a, b in zip(up.terms, up.terms[1:]))
+    assert all(a > b for a, b in zip(down, down[1:]))
+    assert all(a < b for a, b in zip(up, up[1:]))
     # descending terms stay inside (left, right]; ascending inside [left, right)
-    assert all(THIRD_HALF.left < t <= THIRD_HALF.right for t in down.terms)
-    assert all(THIRD_HALF.left <= t < THIRD_HALF.right for t in up.terms)
+    assert all(THIRD_HALF.left < t <= THIRD_HALF.right for t in down)
+    assert all(THIRD_HALF.left <= t < THIRD_HALF.right for t in up)
 
 
 def test_chain_terms_follow_literal_formula_and_stay_reduced():
@@ -60,8 +57,8 @@ def test_chain_terms_follow_literal_formula_and_stay_reduced():
         base = random_pair(rng, max_order=40)
         h1, k1 = base.left.numerator, base.left.denominator
         h2, k2 = base.right.numerator, base.right.denominator
-        down = descending_chain(base, 12).terms
-        up = ascending_chain(base, 12).terms
+        down = descending_chain(base, 12)
+        up = ascending_chain(base, 12)
         for i in range(13):
             assert down[i] == F(h2 + i * h1, k2 + i * k1)
             assert down[i].numerator == h2 + i * h1  # already coprime
@@ -99,10 +96,8 @@ def subdivision_points_for_length(base, p):
     # oracle helper: the points a chain of length p would produce
     left, right = base.left, base.right
     if base.right.denominator >= base.left.denominator:
-        terms = descending_chain(base, p).terms
-        return (left,) + tuple(reversed(terms))
-    terms = ascending_chain(base, p).terms
-    return terms + (right,)
+        return (left,) + tuple(reversed(descending_chain(base, p)))
+    return ascending_chain(base, p) + (right,)
 
 
 def test_subdivide_endpoints_when_gap_already_small():
@@ -124,6 +119,10 @@ def test_subdivide_infeasible_narrow_denominator_budget():
     with pytest.raises(InfeasibleError):
         subdivide(base, F(1, 100), 10)
     assert not feasible_by_enumeration(base, F(1, 100), 10)
+    # The rung 1/2 meets the bound, but its denominator 2 is over the cap.
+    with pytest.raises(InfeasibleError, match=r"^gap bound 1/2 needs a chain denominator of 2 > 1"):
+        subdivide(UNIT, F(1, 2), 1)
+    assert not feasible_by_enumeration(UNIT, F(1, 2), 1)
 
 
 def test_subdivide_infeasible_endpoint_denominator():

@@ -86,15 +86,41 @@ def test_check_solution_denominator_form_equivalence():
 
 
 def test_check_solution_strict_mode():
-    # error exactly equal to the bound: accepted by default, rejected strictly
+    # Error exactly equal to the bound: accepted, as in the non-strict (*);
+    # a strict test reads exact_error < bound off per_item.
     c = cs((F(1, 4), F(1)),)
-    assert check_solution(c, F(1, 4), 1, [0]).overall
-    assert not check_solution(c, F(1, 4), 1, [0], strict=True).overall
+    report = check_solution(c, F(1, 4), 1, [0])
+    assert report.overall
+    assert report.per_item[0].exact_error == report.per_item[0].bound == F(1, 4)
 
 
 def test_check_solution_length_mismatch():
     with pytest.raises(InvalidInputError):
         check_solution(cs((F(1, 2), F(1))), F(1, 4), 2, [1, 1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, eps: brute_force_solve(c, eps),
+        lambda c, eps: compose_solve(c, eps),
+        lambda c, eps: compare(c, eps, 4),
+        lambda c, eps: check_solution(c, eps, 1, [0]),
+    ],
+)
+@pytest.mark.parametrize("eps", [F(0), F(-1, 4)])
+def test_library_rejects_nonpositive_epsilon(call, eps):
+    # The CLI checks epsilon before any of these runs, so only a library
+    # caller reaches their own checks.
+    with pytest.raises(InvalidInputError, match="epsilon must be positive"):
+        call(cs((F(1, 2), F(1))), eps)
+
+
+def test_library_rejects_zero_denominator():
+    with pytest.raises(InvalidInputError, match="q must be a positive integer"):
+        check_solution(cs((F(1, 2), F(1))), F(1, 4), 0, [0])
+    with pytest.raises(InvalidInputError, match="denominator must be a positive integer"):
+        best_numerator(F(1, 2), 0)
 
 
 def test_best_numerator_examples():
@@ -175,7 +201,7 @@ def test_brute_force_minimality_and_soundness():
 
 def test_brute_force_budget():
     # q_max is 1000 but the budget stops after 5; nothing small works
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^scan budget exhausted after 5 of 1000 "):
         brute_force_solve(cs((SQRT2_50, F(1))), F(1, 1000), max_scan=5)
     # a solution within the budget is still found even if q_max is beyond it
     sol = brute_force_solve(cs((F(1, 2), F(1))), F(1, 1000), max_scan=5)
@@ -264,7 +290,9 @@ def test_dirichlet_validation_and_budget():
         dirichlet_solve([], 3)
     with pytest.raises(InvalidInputError):
         dirichlet_solve([F(1, 2)], 1)
-    with pytest.raises(BudgetExceededError):
+    # 2 * (bit_length(20) - 1) = 8 bits already put 20**2 - 1 past the
+    # budget; the message still gives the exact count.
+    with pytest.raises(BudgetExceededError, match=r"^T\*\*n - 1 = 399 exceeds scan budget 10$"):
         dirichlet_solve([SQRT2_50, PHI_50], 20, max_scan=10)
 
 
@@ -279,24 +307,24 @@ def window_walks(draw):
     hi = draw(st.integers(lo - 1, lo + 1500))
     if draw(st.booleans()):
         c = draw(st.one_of(st.integers(0, 3), st.integers(0, x.denominator)))
-        width = lambda b: c  # noqa: E731
+        bound = (0, c, 1)
     else:
         bn = draw(st.integers(0, 4))
         bd = draw(st.one_of(st.integers(1, 4000), st.integers(1, 4 * 10**15)))
-        width = lambda b: bn * x.denominator * b // bd  # noqa: E731
-    return x.numerator, x.denominator, lo, hi, width
+        bound = (bn * x.denominator, 0, bd)
+    return x.numerator, x.denominator, lo, hi, bound
 
 
 @settings(max_examples=400, deadline=None)
 @given(window_walks())
 def test_window_hits_equal_linear_filter(walk):
-    xn, xd, lo, hi, width = walk
+    xn, xd, lo, hi, (a, c, den) = walk
     expected = []
     for q in range(lo, hi + 1):
         r = xn * q % xd
-        if min(r, xd - r) <= width(min((1 << q.bit_length()) - 1, hi)):
+        if min(r, xd - r) <= (a * min((1 << q.bit_length()) - 1, hi) + c) // den:
             expected.append(q)
-    assert list(simultaneous._window_hits(xn, xd, lo, hi, width)) == expected
+    assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den)) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -323,7 +351,7 @@ def test_window_walk_starts_at_lo():
         "from fareyapprox import parse_real\n"
         "from fareyapprox.simultaneous import _window_hits\n"
         "x = parse_real('sqrt2', 5000) - 1\n"
-        f"print(*_window_hits(x.numerator, x.denominator, {lo}, {hi}, lambda b: x.denominator // 1000))\n"
+        f"print(*_window_hits(x.numerator, x.denominator, {lo}, {hi}, 0, x.denominator, 1000))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
