@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +24,16 @@ from .errors import (
     InvalidInputError,
 )
 from .farey import ExactHit, FareyPair, farey_neighbors, farey_sequence
-from .mediants import subdivide
-from .rationals import DEFAULT_PRECISION, format_rational, parse_rational, parse_real
+from .mediants import _plan_subdivision
+from .rationals import (
+    _PRINT_LIMIT,
+    DEFAULT_PRECISION,
+    _int_text,
+    _pair_lines,
+    format_rational,
+    parse_rational,
+    parse_real,
+)
 from .selftest import run_selftest
 from .simultaneous import (
     DEFAULT_MAX_SCAN,
@@ -80,7 +89,26 @@ def _read_constraints(path: str, precision: int) -> ConstraintSet:
 
 
 def _emit_json(obj: dict, precision: int) -> None:
-    sys.stdout.write(json.dumps({**obj, "precision": precision}, indent=2) + "\n")
+    obj = {**obj, "precision": precision}
+    try:
+        text = json.dumps(obj, indent=2)
+    except ValueError:
+        # An int past str()'s digit limit, such as a p for a target of
+        # 1e9000: dump every int as a NUL-marked string of its digits, then
+        # unquote the marks.  No other string holds a NUL.
+        text = json.dumps(_marked_ints(obj), indent=2)
+        text = re.sub(r'"\\u0000(-?\d+)"', r"\1", text)
+    sys.stdout.write(text + "\n")
+
+
+def _marked_ints(value: object) -> object:
+    if isinstance(value, dict):
+        return {key: _marked_ints(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_marked_ints(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return "\0" + _int_text(value)
+    return value
 
 
 def _json(value: object) -> object:
@@ -149,17 +177,17 @@ def _build_grid(args) -> tuple[Fraction, ...]:
                 raise InvalidInputError("geometric grid too extreme for the fixed ratio scale")
             ratio = Fraction(root, scale)
             # Point k has a denominator of up to 24*k digits; stop at the
-            # first one that str() refuses to print.
+            # first one with a part past 4300 digits, str()'s default limit,
+            # so that the printed grid stays bounded.
             points = [top]
             for _ in range(m - 1):
-                points.append(points[-1] * ratio)
-                try:
-                    format_rational(points[-1])
-                except ValueError:
+                point = points[-1] * ratio
+                points.append(point)
+                if max(point.numerator, point.denominator) >= _PRINT_LIMIT:
                     raise InvalidInputError(
                         f"geometric grid point {len(points)} has too many digits to print; "
                         "use fewer --points"
-                    ) from None
+                    )
             points = tuple(points) + (bottom,)
         else:
             span = top - bottom
@@ -206,19 +234,19 @@ def _cmd_subdivide(args) -> int:
     denom_bound = args.max_denom
     if denom_bound is None:
         denom_bound = max(math.ceil(1 / gap), lo.denominator, hi.denominator)
-    result = subdivide(base, gap, denom_bound, max_points=args.max_points)
-    for point in result.points:
-        sys.stdout.write(format_rational(point) + "\n")
+    # The (h, k) pairs of subdivide()'s points, printed without a Fraction.
+    pairs = _plan_subdivision(base, gap, denom_bound, args.max_points)
+    sys.stdout.write(_pair_lines(pairs))
     # Adjacent points are unimodular neighbours, so each gap is 1/(k_a*k_b).
-    dens = [p.denominator for p in result.points]
+    dens = [k for _, k in pairs]
     prods = [a * b for a, b in zip(dens, dens[1:])]
     _emit_json(
         {
-            "points": len(result.points),
-            "max_gap": format_rational(Fraction(1, min(prods))),
-            "min_gap": format_rational(Fraction(1, max(prods))),
-            "gap_bound": format_rational(result.gap_bound),
-            "denom_bound": result.denom_bound,
+            "points": len(pairs),
+            "max_gap": "1/" + _int_text(min(prods)),
+            "min_gap": "1/" + _int_text(max(prods)),
+            "gap_bound": format_rational(gap),
+            "denom_bound": denom_bound,
             "max_denominator": max(dens),
         },
         args.precision,

@@ -13,6 +13,7 @@ from typing import Iterator, Union
 
 from ._record import record
 from .errors import EndOfSequenceError, InvalidInputError
+from .rationals import _fraction_text
 
 
 def _require_order(order: int) -> None:
@@ -39,14 +40,17 @@ class FareyPair:
         a, b = self.left.numerator, self.left.denominator
         c, d = self.right.numerator, self.right.denominator
         if not (0 <= self.left < self.right <= 1):
-            raise InvalidInputError(f"not an ordered pair in [0, 1]: {self.left}, {self.right}")
+            raise InvalidInputError(f"not an ordered pair in [0, 1]: {self._ends()}")
         if b > self.order or d > self.order:
-            raise InvalidInputError(f"denominators exceed order {self.order}: {self.left}, {self.right}")
+            raise InvalidInputError(f"denominators exceed order {self.order}: {self._ends()}")
         if b * c - a * d != 1:
-            raise InvalidInputError(f"pair is not unimodular: {self.left}, {self.right}")
+            raise InvalidInputError(f"pair is not unimodular: {self._ends()}")
         if b + d <= self.order:
             # the mediant would be a member of F_order between the two
-            raise InvalidInputError(f"pair is not consecutive in F_{self.order}: {self.left}, {self.right}")
+            raise InvalidInputError(f"pair is not consecutive in F_{self.order}: {self._ends()}")
+
+    def _ends(self) -> str:
+        return f"{_fraction_text(self.left)}, {_fraction_text(self.right)}"
 
 
 @record
@@ -153,7 +157,7 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
     _require_order(order)
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise InvalidInputError(f"value {x} outside [0, 1]")
+        raise InvalidInputError(f"value {_fraction_text(x)} outside [0, 1]")
     if x.denominator <= order:
         return ExactHit(x, order)
     xn, xd = x.numerator, x.denominator

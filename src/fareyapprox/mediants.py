@@ -10,16 +10,22 @@ Because every rung is unimodular with its neighbours, the gaps have exact
 closed forms (products of adjacent rung denominators), which is what lets
 :func:`subdivide` pick the minimal chain length for a requested gap bound
 without any searching.
+
+Every rung is reduced by construction, so one planner, ``_plan_subdivision``,
+works on integer pairs (h, k) alone; the CLI prints its pairs as they are,
+and ``Fraction``s are built only at the public boundary, by
+:func:`subdivide` and the two chain functions.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from fractions import Fraction
 
 from ._record import record
 from .errors import BudgetExceededError, InfeasibleError, InvalidInputError
 from .farey import FareyPair
+from .rationals import _fraction_text, _int_text
 
 
 @record
@@ -40,6 +46,13 @@ def _require_count(count: int) -> None:
         raise InvalidInputError("chain length must be a nonnegative integer")
 
 
+def _rungs(h: int, k: int, dh: int, dk: int, count: int) -> list[tuple[int, int]]:
+    # The pairs (h + i*dh, k + i*dk) for i = 0..count, zipped from two
+    # ranges; dk >= 1, and dh >= 0 is 0 only for a chain off 0/1.
+    hs = range(h, h + (count + 1) * dh, dh) if dh else itertools.repeat(h, count + 1)
+    return list(zip(hs, range(k, k + (count + 1) * dk, dk)))
+
+
 def descending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
     """Terms (h2 + i*h1)/(k2 + i*k1) for i = 0..count, all reduced.
 
@@ -48,7 +61,7 @@ def descending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
     _require_count(count)
     h1, k1 = base.left.numerator, base.left.denominator
     h2, k2 = base.right.numerator, base.right.denominator
-    return tuple(Fraction(h2 + i * h1, k2 + i * k1) for i in range(count + 1))
+    return tuple(Fraction(h, k) for h, k in _rungs(h2, k2, h1, k1, count))
 
 
 def ascending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
@@ -59,7 +72,7 @@ def ascending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
     _require_count(count)
     h1, k1 = base.left.numerator, base.left.denominator
     h2, k2 = base.right.numerator, base.right.denominator
-    return tuple(Fraction(h1 + j * h2, k1 + j * k2) for j in range(count + 1))
+    return tuple(Fraction(h, k) for h, k in _rungs(h1, k1, h2, k2, count))
 
 
 def descending_step_gap(base: FareyPair, i: int) -> Fraction:
@@ -90,6 +103,57 @@ def ascending_tail_gap(base: FareyPair, j: int) -> Fraction:
     return Fraction(1, k2 * (k1 + j * k2))
 
 
+def _plan_subdivision(
+    base: FareyPair, gap_bound: Fraction, denom_bound: int, max_points: int
+) -> list[tuple[int, int]]:
+    """The points :func:`subdivide` returns, as (numerator, denominator) pairs.
+
+    Makes every check of :func:`subdivide`, in the same order and with the
+    same messages; ``gap_bound`` must already be a Fraction.
+    """
+    if gap_bound <= 0:
+        raise InvalidInputError("gap bound must be positive")
+    if not isinstance(denom_bound, int) or denom_bound < 1:
+        raise InvalidInputError("denominator bound must be a positive integer")
+    if not isinstance(max_points, int) or max_points < 2:
+        raise InvalidInputError("max_points must be at least 2")
+    h1, k1 = base.left.numerator, base.left.denominator
+    h2, k2 = base.right.numerator, base.right.denominator
+    if max(k1, k2) > denom_bound:
+        raise InfeasibleError(
+            f"endpoint denominators {k1}, {k2} already exceed the bound {denom_bound}"
+        )
+    # The pair is unimodular, so its gap is 1/(k1*k2).
+    gn, gd = gap_bound.numerator, gap_bound.denominator
+    if gd <= gn * k1 * k2:
+        return [(h1, k1), (h2, k2)]
+
+    descending = k2 >= k1
+    anchor, step = (k2, k1) if descending else (k1, k2)
+    # Smallest chain length p with tail gap 1/(step*(anchor + p*step))
+    # <= gap_bound; p >= 1 here since the whole gap 1/(k1*k2) is too wide.
+    needed_den = -(-gd // (gn * step))
+    p = max(1, -((anchor - needed_den) // step))
+    widest_den = anchor * (anchor + step)
+    if gd > gn * widest_den:
+        raise InfeasibleError(
+            f"gap next to the anchor endpoint is 1/{_int_text(widest_den)} > "
+            f"{_fraction_text(gap_bound)} for every chain length"
+        )
+    if anchor + p * step > denom_bound:
+        raise InfeasibleError(
+            f"gap bound {_fraction_text(gap_bound)} needs a chain denominator of "
+            f"{_int_text(anchor + p * step)} > {denom_bound}"
+        )
+    if p + 2 > max_points:
+        raise BudgetExceededError(
+            f"subdivision needs {_int_text(p + 2)} points, max_points={max_points}"
+        )
+    if descending:
+        return [(h1, k1)] + _rungs(h2, k2, h1, k1, p)[::-1]
+    return _rungs(h1, k1, h2, k2, p) + [(h2, k2)]
+
+
 def subdivide(
     base: FareyPair,
     gap_bound: Fraction,
@@ -112,42 +176,6 @@ def subdivide(
     points would be needed.
     """
     gap_bound = Fraction(gap_bound)
-    if gap_bound <= 0:
-        raise InvalidInputError("gap bound must be positive")
-    if not isinstance(denom_bound, int) or denom_bound < 1:
-        raise InvalidInputError("denominator bound must be a positive integer")
-    if not isinstance(max_points, int) or max_points < 2:
-        raise InvalidInputError("max_points must be at least 2")
-    left, right = base.left, base.right
-    k1, k2 = left.denominator, right.denominator
-    if max(k1, k2) > denom_bound:
-        raise InfeasibleError(
-            f"endpoint denominators {k1}, {k2} already exceed the bound {denom_bound}"
-        )
-    if right - left <= gap_bound:
-        return Subdivision((left, right), gap_bound, denom_bound)
-
-    descending = k2 >= k1
-    anchor, step = (k2, k1) if descending else (k1, k2)
-    # Smallest chain length p with tail gap 1/(step*(anchor + p*step))
-    # <= gap_bound; p >= 1 here since the whole gap 1/(k1*k2) is too wide.
-    needed_den = math.ceil(1 / (gap_bound * step))
-    p = max(1, -((anchor - needed_den) // step))
-    widest_rung = Fraction(1, anchor * (anchor + step))
-    if widest_rung > gap_bound:
-        raise InfeasibleError(
-            f"gap next to the anchor endpoint is {widest_rung} > {gap_bound} "
-            "for every chain length"
-        )
-    if anchor + p * step > denom_bound:
-        raise InfeasibleError(
-            f"gap bound {gap_bound} needs a chain denominator of "
-            f"{anchor + p * step} > {denom_bound}"
-        )
-    if p + 2 > max_points:
-        raise BudgetExceededError(f"subdivision needs {p + 2} points, max_points={max_points}")
-    if descending:
-        points = (left,) + descending_chain(base, p)[::-1]
-    else:
-        points = ascending_chain(base, p) + (right,)
+    pairs = _plan_subdivision(base, gap_bound, denom_bound, max_points)
+    points = tuple(Fraction(h, k) for h, k in pairs)
     return Subdivision(points, gap_bound, denom_bound)

@@ -19,6 +19,7 @@ asked for so far; a lower precision truncates them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -46,6 +47,8 @@ _SQUARE_ROOTS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
 _SCALED_FLOORS: dict[str, tuple[int, int]] = {}
 # The exponent as Fraction reads it, digit groups joined by "_" included.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+# The smallest int that str() refuses at its default limit of 4300 digits.
+_PRINT_LIMIT = 10**4300
 
 
 def mediant(a: Fraction, b: Fraction) -> Fraction:
@@ -69,7 +72,43 @@ def fractional_part(x: Fraction) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form "num/den" with den > 0, e.g. "-1/3", "0/1"."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+
+
+def _int_text(n: int) -> str:
+    # str(n) for an int of any size.  str() refuses an int past its digit
+    # limit (4300 by default) with ValueError; such an int is split at a
+    # power of ten near half its digits, and each half printed alone.
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    # bit_length * 3/20 is just under half the digits, since log10(2) > 3/10.
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+def _fraction_text(x: Fraction) -> str:
+    # str(x) for a Fraction of any size, for messages.
+    if x.denominator == 1:
+        return _int_text(x.numerator)
+    return format_rational(x)
+
+
+def _pair_lines(pairs: list[tuple[int, int]]) -> str:
+    # One "h/k" line per pair, in one % operation.  The common case costs
+    # no test per pair; a listing that str() refuses is printed again with
+    # exact halves.
+    try:
+        return ("%s/%s\n" * len(pairs)) % tuple(itertools.chain.from_iterable(pairs))
+    except ValueError:
+        return "".join([f"{_int_text(h)}/{_int_text(k)}\n" for h, k in pairs])
 
 
 def parse_rational(text: str) -> Fraction:

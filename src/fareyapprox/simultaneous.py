@@ -44,11 +44,10 @@ from typing import Iterable, Iterator, Sequence, Union
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
 from .farey import ExactHit, farey_neighbors
+from .rationals import _PRINT_LIMIT
 
 #: Default cap on exhaustive denominator scans.
 DEFAULT_MAX_SCAN = 10_000_000
-# The smallest count that str() refuses to print by default (4301 digits).
-_PRINT_LIMIT = 10**4300
 
 
 @record
@@ -328,9 +327,13 @@ def _first_fit(
     ps = [0] * len(items)
     for q in itertools.chain((lo,), walk):
         for i, xn, xd, a, c, den in items:
-            ps[i], d = _nearest(xn, xd, q)
+            # _nearest(xn, xd, q), inlined: this is the hottest loop.
+            p, d = divmod(xn * q, xd)
+            if 2 * d > xd:
+                p, d = p + 1, xd - d
             if d * den > a * q + c:
                 break
+            ps[i] = p
         else:
             return q, tuple(ps)
     return None

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,9 +19,16 @@ import fareyapprox.cli as cli
 import fareyapprox.farey as farey
 import fareyapprox.mediants as mediants
 import fareyapprox.simultaneous as simultaneous
-from fareyapprox import farey_sequence
+from fareyapprox import (
+    BudgetExceededError,
+    InfeasibleError,
+    InvalidInputError,
+    farey_sequence,
+    format_rational,
+    subdivide,
+)
 from fareyapprox.cli import _build_parser, run
-from oracles import consecutive_pairs
+from oracles import consecutive_pairs, subdivision_failures
 
 
 def invoke(capsys, argv):
@@ -208,6 +216,85 @@ def test_subdivide_gap_summary_matches_subtraction(case):
     assert F(trailer["max_gap"]) == max(gaps) <= gap
     assert F(trailer["min_gap"]) == min(gaps)
     assert trailer["max_denominator"] == max(p.denominator for p in points)
+
+
+@st.composite
+def subdivide_calls(draw):
+    # A consecutive pair with a gap bound that gives the two endpoints
+    # alone, a chain on either side, or no chain at all, and --max-denom
+    # and --max-points left out, tight or invalid.
+    order = draw(st.integers(1, 40))
+    base = draw(st.sampled_from(consecutive_pairs(order)))
+    k1, k2 = base.left.denominator, base.right.denominator
+    anchor, step = max(k1, k2), min(k1, k2)
+    widest_rung = F(1, anchor * (anchor + step))
+    pair_gap = base.right - base.left
+    gap = draw(st.one_of(
+        st.sampled_from([pair_gap, widest_rung, widest_rung * F(99, 100)]),
+        st.integers(1, 1000).map(lambda i: widest_rung + (pair_gap - widest_rung) * F(i, 1000)),
+        st.integers(1, 10**6).map(lambda n: F(1, n)),
+    ))
+    max_denom = draw(st.none() | st.integers(-1, 3000))
+    max_points = draw(st.none() | st.integers(0, 40) | st.integers(0, 3000))
+    return base, gap, max_denom, max_points
+
+
+def library_subdivide(base, gap, max_denom, max_points):
+    # What the CLI should print, built from subdivide() and Fraction
+    # subtraction, with the CLI's defaults and its exit codes.
+    if max_denom is None:
+        max_denom = max(math.ceil(1 / gap), base.left.denominator, base.right.denominator)
+    if max_points is None:
+        max_points = cli._MAX_POINTS
+    try:
+        sub = subdivide(base, gap, max_denom, max_points=max_points)
+    except InfeasibleError as exc:
+        return 2, "", f"infeasible: {exc}\n"
+    except BudgetExceededError as exc:
+        return 1, "", f"budget exceeded: {exc}\n"
+    except InvalidInputError as exc:
+        return 1, "", f"error: {exc}\n"
+    points = sub.points
+    assert subdivision_failures(points, base, gap, max_denom) == []
+    if len(points) > 2:
+        # One rung fewer, next to the far endpoint, leaves a gap too wide.
+        if base.right.denominator >= base.left.denominator:
+            assert points[2] - points[0] > gap
+        else:
+            assert points[-1] - points[-3] > gap
+    gaps = [b - a for a, b in pairwise(points)]
+    trailer = {
+        "points": len(points),
+        "max_gap": format_rational(max(gaps)),
+        "min_gap": format_rational(min(gaps)),
+        "gap_bound": format_rational(sub.gap_bound),
+        "denom_bound": sub.denom_bound,
+        "max_denominator": max(p.denominator for p in points),
+        "precision": 64,
+    }
+    lines = "".join(format_rational(p) + "\n" for p in points)
+    return 0, lines + json.dumps(trailer, indent=2) + "\n", ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(subdivide_calls())
+@example((consecutive_pairs(1)[0], F(1), None, None))  # 0/1, 1/1 alone
+@example((consecutive_pairs(40)[0], F(1, 1640), None, None))  # 1602 points, descending
+@example((consecutive_pairs(40)[-1], F(1, 1640), None, None))  # the same, ascending
+@example((consecutive_pairs(40)[0], F(1, 1640), 79, None))  # one denominator short
+@example((consecutive_pairs(40)[0], F(1, 1640), None, 1601))  # one point short
+def test_subdivide_cli_matches_library(case):
+    # The CLI prints the planner's pairs; subdivide() wraps the same pairs
+    # in Fractions.  Both must give the same points, gaps and errors.
+    base, gap, max_denom, max_points = case
+    argv = ["subdivide", "--lo", str(base.left), "--hi", str(base.right),
+            "--order", str(base.order), "--gap", format_rational(gap)]
+    argv += [] if max_denom is None else ["--max-denom", str(max_denom)]
+    argv += [] if max_points is None else ["--max-points", str(max_points)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert (code, out.getvalue(), err.getvalue()) == library_subdivide(*case)
 
 
 def test_solve_feasible(tmp_path, capsys):
@@ -445,6 +532,83 @@ def test_budget_error_with_a_count_too_long_to_print(tmp_path, capsys, argv, ite
     assert code == 1 and out == ""
     assert err.startswith("budget exceeded: ") and err.count("\n") == 1
     assert " or more " in err
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    # Lift str()'s limit on int digits, where the interpreter has one.
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+_LONG_FILES = {"sqrt2.txt": "sqrt2 1\n", "sqrt3.txt": "sqrt3 1\n", "zero.txt": "0 1\n",
+               "huge.txt": "1e9000 1\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, short, code",
+    [
+        # Witness errors with denominators of 4400+ digits.
+        (["solve", "--input", "sqrt2.txt", "--epsilon", "1/10", "--precision", "4400"],
+         ["--precision", "64"], 0),
+        (["solve", "--input", "sqrt3.txt", "--epsilon", "1/10", "--precision", "4400"],
+         ["--precision", "64"], 0),
+        # The message names a value with 5000-digit parts.
+        (["neighbors", "--x", "sqrt2", "--order", "10", "--precision", "5000"],
+         ["--precision", "64"], 1),
+        # epsilon echoed back, feasible and with an empty range.
+        (["solve", "--input", "zero.txt", "--epsilon", "1e-5000"], ["--epsilon", "1e-50"], 0),
+        (["solve", "--input", "zero.txt", "--epsilon", "1e5000"], ["--epsilon", "1e50"], 2),
+        # A JSON int of 9001 digits: p for the target 10**9000.
+        (["solve", "--input", "huge.txt", "--epsilon", "1/10"], ["--input", "zero.txt"], 0),
+        # Subdivision messages and FareyPair's own check.
+        (["subdivide", "--lo", "0", "--hi", "1/7", "--order", "7", "--gap", "1e-5000",
+          "--max-denom", "10"], ["--gap", "1e-50"], 2),
+        (["subdivide", "--lo", "sqrt2", "--hi", "1", "--order", "1", "--gap", "1/2",
+          "--precision", "5000"], ["--precision", "64"], 1),
+    ],
+    ids=["solve-sqrt2", "solve-sqrt3", "neighbors-sqrt2", "solve-tiny-eps", "solve-huge-eps",
+         "solve-huge-p", "subdivide-tiny-gap", "subdivide-long-lo"],
+)
+def test_values_past_the_print_limit_print_exactly(tmp_path, capsys, argv, short, code):
+    # No traceback, the exit code of the same call with short values, under
+    # 1 s, and the very text str() would print with no digit limit.
+    for name, text in _LONG_FILES.items():
+        write(tmp_path, name, text)
+
+    def placed(args):
+        return [str(tmp_path / a) if a in _LONG_FILES else a for a in args]
+
+    start = time.perf_counter()
+    got = invoke(capsys, placed(argv))
+    assert time.perf_counter() - start < 1
+    assert got[0] == code
+    assert len(got[1]) + len(got[2]) > 5000 and got[2].count("\n") <= 1
+    shortened = argv + short  # argparse keeps the last value of an option
+    assert invoke(capsys, placed(shortened))[0] == code
+    with no_digit_limit():
+        assert invoke(capsys, placed(argv)) == got
+
+
+def test_geometric_grid_stops_where_str_would(tmp_path, capsys):
+    # The digit test stops a grid at the first point with a part past 4300
+    # digits, the point at which str() used to refuse it.
+    path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
+    argv = ["sweep", "--input", path, "--eps-max", "1/10", "--eps-min", "1/1000", "--geometric",
+            "--csv", "--points"]
+    code, out, err = invoke(capsys, argv + ["187"])
+    assert code == 0 and out.count("\n") == 188 and err == ""
+    for points, at in (("188", 183), ("192", 190), ("200", 185)):
+        assert invoke(capsys, argv + [points]) == (
+            1, "", f"error: geometric grid point {at} has too many digits to print; "
+            "use fewer --points\n"
+        )
 
 
 def test_usage_errors(capsys):

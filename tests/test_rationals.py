@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 import os
@@ -8,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fareyapprox.rationals as rationals
 from fareyapprox import (
@@ -274,3 +277,17 @@ def test_format_round_trip():
         again = parse_real(format_rational(x))
         assert again == x
         assert_canonical(again)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+@example(10**4300 - 1)  # the longest int str() prints by default
+@example(10**4300)
+@example(-(10**4300))
+@example(10**9000 + 1)  # a split whose low half has leading zeros
+def test_int_text_prints_any_int_exactly(n):
+    # Decimal converts an int without str(), so it has no digit limit.
+    assert rationals._int_text(n) == str(decimal.Decimal(n))
+    x = F(n, abs(n) + 7)
+    assert format_rational(x) == f"{decimal.Decimal(x.numerator)}/{decimal.Decimal(x.denominator)}"
+    assert rationals._fraction_text(F(n)) == str(decimal.Decimal(n))
