@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from .errors import (
     InfeasibleError,
     InvalidInputError,
 )
-from .farey import ExactHit, FareyPair, farey_neighbors, farey_sequence
+from .farey import ExactHit, FareyPair, _farey_pairs, farey_neighbors
 from .mediants import _plan_subdivision
 from .rationals import (
     _PRINT_LIMIT,
@@ -200,12 +201,12 @@ def _build_grid(args) -> tuple[Fraction, ...]:
 def _cmd_farey(args) -> int:
     lo = parse_rational(args.lo) if args.lo is not None else None
     hi = parse_rational(args.hi) if args.hi is not None else None
-    # Test term > hi in integers; without --to, hi is 1/0, above every term.
-    hn, hd = (hi.numerator, hi.denominator) if hi is not None else (1, 0)
-    for term in farey_sequence(args.order, lo):
-        if term.numerator * hd > hn * term.denominator:
-            break
-        sys.stdout.write(format_rational(term) + "\n")
+    bound = (hi.numerator, hi.denominator) if hi is not None else ()
+    # The recurrence's (h, k) pairs, printed without a Fraction and written
+    # in chunks, so memory stays bounded however long the listing is.
+    pairs = _farey_pairs(args.order, lo, *bound)
+    while chunk := list(itertools.islice(pairs, 4096)):
+        sys.stdout.write(_pair_lines(chunk))
     return 0
 
 

@@ -4,6 +4,12 @@ F_N is the ascending list of all reduced fractions h/k with
 0 <= h <= k <= N.  Adjacent terms h/k < h'/k' satisfy kh' - hk' = 1
 (unimodularity), which is what all the mediant machinery in this package
 builds on.
+
+Every term of a listing is already reduced, so one planner makes the
+listing as raw (h, k) pairs by the next-term recurrence, bounded below
+and above inside the recurrence.  The CLI prints those pairs as they are;
+``farey_sequence`` wraps them in ``Fraction``s only at the library
+boundary.
 """
 
 from __future__ import annotations
@@ -90,14 +96,16 @@ class PropertyReport:
         return all(check.passed for _, check in self.checks())
 
 
-def _int_pairs(order: int, a: int, b: int, c: int, d: int) -> Iterator[tuple[int, int]]:
+def _int_pairs(order: int, a: int, b: int, c: int, d: int, hn=1, hd=0) -> Iterator[tuple[int, int]]:
     # Next-term recurrence on raw (h, k) pairs, from the seed a/b, c/d (two
-    # consecutive terms of F_order, or see _seed_below) on to 1/1.
-    yield a, b
-    while c <= order:
-        k = (order + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
+    # consecutive terms of F_order, or see _seed_below) on to the last term
+    # <= hn/hd (hd > 0, or the default 1/0, above every term: on to 1/1).
+    if a * hd <= hn * b:
         yield a, b
+        while c <= order and c * hd <= hn * d:
+            k = (order + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
+            yield a, b
 
 
 def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
@@ -116,22 +124,29 @@ def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
     return (h * b - 1) // k, b, h, k
 
 
+def _farey_pairs(order: int, lo: Fraction | None, hn=1, hd=0) -> Iterator[tuple[int, int]]:
+    # The (h, k) pairs of F_order from the first term >= lo to the last
+    # term <= hn/hd (as in _int_pairs): the listing's one planner, with the
+    # recurrence seeded at lo, so no term below lo is built.
+    _require_order(order)
+    if lo is None or lo <= 0:
+        return _int_pairs(order, 0, 1, 1, order, hn, hd)
+    if lo > 1:
+        return iter(())
+    pairs = _int_pairs(order, *_seed_below(lo, order), hn, hd)
+    next(pairs, None)  # the seed's a/b, the term before lo
+    return pairs
+
+
 def farey_sequence(order: int, lo: Fraction | None = None) -> Iterator[Fraction]:
     """Yield F_order in increasing order, from 0/1 to 1/1.
 
     With ``lo``, the listing starts at the first term >= lo: the next-term
     recurrence is seeded at lo by :func:`farey_neighbors`, so no term
-    below lo is built.
+    below lo is built.  The terms are planned as integer pairs; each
+    becomes a ``Fraction`` only here, at the library boundary.
     """
-    _require_order(order)
-    if lo is None or lo <= 0:
-        pairs = _int_pairs(order, 0, 1, 1, order)
-    elif lo <= 1:
-        pairs = _int_pairs(order, *_seed_below(lo, order))
-        next(pairs)
-    else:
-        return
-    for h, k in pairs:
+    for h, k in _farey_pairs(order, lo):
         yield Fraction(h, k)
 
 

@@ -120,7 +120,8 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not s:
         raise InvalidInputError("empty rational literal")
-    if sum(c.isdigit() for c in s) > MAX_LITERAL_DIGITS:
+    # The digit count cannot exceed len(s), so short literals skip it.
+    if len(s) > MAX_LITERAL_DIGITS and sum(c.isdigit() for c in s) > MAX_LITERAL_DIGITS:
         raise InvalidInputError(
             f"literal {s[:20]!r}... has more than {MAX_LITERAL_DIGITS} digits"
         )

@@ -1,4 +1,4 @@
-"""The benchmark's committed farey-cli pool, replayed through ``cli.run``.
+"""The benchmark's committed pools, replayed through the program.
 
 Every entry of ``perfbench/reference.json`` carries the digest of its
 answer, so a changed output byte fails here and not only in a benchmark
@@ -8,6 +8,8 @@ written.
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import fareyapprox
 import fareyapprox.cli  # noqa: F401  (workloads.execute calls fareyapprox.cli.run)
@@ -22,13 +24,18 @@ def load_workloads():
     return module
 
 
-def test_farey_cli_pool_replays_to_its_digests(tmp_path):
-    # materialize writes each constraint file to tmp_path; execute captures
-    # stdout around cli.run; check compares the exit code and the stdout
-    # SHA-256 with the entry's digest (answer_record, digest).
+POOL_SIZES = {"solve-mix": 256, "sweep": 108, "farey-cli": 324}
+
+
+@pytest.mark.parametrize("workload", POOL_SIZES)
+def test_pool_replays_to_its_digests(workload, tmp_path):
+    # materialize parses each entry's inputs and writes constraint files to
+    # tmp_path; execute makes the call (cli.run with stdout captured for
+    # farey-cli); check compares the answer with the entry's digest
+    # (answer_record, digest).
     workloads = load_workloads()
-    pool = workloads.load_reference()["workloads"]["farey-cli"]
-    assert len(pool) == 324
+    pool = workloads.load_reference()["workloads"][workload]
+    assert len(pool) == POOL_SIZES[workload]
     requests = workloads.materialize(fareyapprox, pool, tmp_path)
     problems = [workloads.check(fareyapprox, req, workloads.execute(fareyapprox, req))
                 for req in requests]

@@ -105,6 +105,62 @@ def test_farey_listing_starts_at_from():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/1\n", "")
 
 
+def test_farey_listing_stops_at_to():
+    # Listing F_300000 whole would take hours; the recurrence must stop at
+    # the first term past --to.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fareyapprox", "farey", "--order", "300000",
+         "--to", "1/300000"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0/1\n1/300000\n", "")
+
+
+def chunked_windows(terms):
+    # The CLI writes the listing 4096 terms at a time.  Ends on a chunk
+    # edge, next to one and between terms; hi < lo; ends outside [0, 1].
+    chunk = 4096
+    between = [(a.numerator + b.numerator) / F(a.denominator + b.denominator)
+               for a, b in pairwise(terms)]
+    yield None, None
+    for i in (chunk - 2, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk):
+        if i < len(terms):
+            yield None, terms[i]
+            yield None, between[i]
+            yield terms[i - chunk + 1], None
+            yield terms[i - chunk + 1], terms[i]
+            yield between[i - chunk], terms[i]
+    yield between[100], between[100 + chunk]
+    yield terms[len(terms) - chunk - 1], None
+    yield between[len(terms) - chunk - 2], None
+    yield terms[500], terms[499]
+    yield between[500], between[499]
+    yield F(-1, 2), F(3, 2)
+    yield F(-1), terms[chunk]
+    yield terms[chunk], F(2)
+    yield F(3, 2), None
+    yield None, F(-1, 2)
+
+
+@pytest.mark.parametrize("order, length", [(120, 4387), (200, 12233)])
+def test_farey_listing_spanning_chunks_matches_filtered_sequence(order, length):
+    terms = list(farey_sequence(order))
+    assert len(terms) == length
+    for lo, hi in chunked_windows(terms):
+        expected = [t for t in terms if (lo is None or t >= lo) and (hi is None or t <= hi)]
+        argv = ["farey", "--order", str(order)]
+        for option, end in (("--from", lo), ("--to", hi)):
+            if end is not None:
+                argv += [f"{option}={end}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        assert out.getvalue() == "".join(f"{t.numerator}/{t.denominator}\n" for t in expected), argv
+
+
 def test_neighbors_pair_json(capsys):
     code, out, _ = invoke(capsys, ["neighbors", "--x", "5/16", "--order", "7"])
     assert code == 0

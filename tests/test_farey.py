@@ -4,6 +4,8 @@ from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareyapprox import (
     EndOfSequenceError,
@@ -15,6 +17,7 @@ from fareyapprox import (
     farey_sequence,
     verify_farey_properties,
 )
+from fareyapprox.farey import _farey_pairs, _int_pairs
 
 
 def enumerate_farey(order):
@@ -57,6 +60,30 @@ def test_farey_sequence_terms_reduced_increasing():
         for t in terms:
             assert t.denominator <= order
             assert math.gcd(abs(t.numerator), t.denominator) == 1
+
+
+@st.composite
+def planner_windows(draw):
+    order = draw(st.integers(1, 60))
+    terms = st.sampled_from(list(farey_sequence(order)))
+    lo = draw(st.one_of(st.none(), terms, st.builds(F, st.integers(-20, 140), st.integers(1, 120))))
+    bound = draw(st.one_of(
+        st.just((1, 0)),
+        terms.map(lambda t: (t.numerator, t.denominator)),
+        st.tuples(st.integers(-20, 140), st.integers(1, 120)),
+    ))
+    return order, lo, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(planner_windows())
+def test_farey_pairs_is_the_filtered_recurrence(window):
+    # Seeded at lo and stopped at hn/hd inside the recurrence, the planner
+    # lists exactly the terms of the full run in [lo, hn/hd].
+    order, lo, (hn, hd) = window
+    full = _int_pairs(order, 0, 1, 1, order)
+    expected = [(h, k) for h, k in full if (lo is None or F(h, k) >= lo) and h * hd <= hn * k]
+    assert list(_farey_pairs(order, lo, hn, hd)) == expected
 
 
 def test_adjacent_pairs_unimodular_and_denominator_sum():

@@ -269,6 +269,22 @@ def test_literal_and_precision_bounds():
         parse_real("1/3", MAX_PRECISION + 1)
 
 
+def test_digit_limit_counts_digits_not_characters():
+    # Only literals longer than the limit are counted; separators, "/" and
+    # the decimal point count as characters but not as digits.
+    half = MAX_LITERAL_DIGITS // 2
+    for text in (
+        "-" + "1" * half + "/" + "3" * half,
+        "-" + "1" * half + "." + "5" * half,
+        "1_" * (MAX_LITERAL_DIGITS - 1) + "1",
+    ):
+        assert len(text) > MAX_LITERAL_DIGITS
+        assert parse_rational(text) == F(text)
+    for text in ("1_" * MAX_LITERAL_DIGITS + "1", "1" * half + "/" + "3" * (half + 1)):
+        with pytest.raises(InvalidInputError, match=f"has more than {MAX_LITERAL_DIGITS} digits"):
+            parse_rational(text)
+
+
 def test_format_round_trip():
     assert format_rational(F(0, 1)) == "0/1"
     assert format_rational(F(-1, 3)) == "-1/3"
