@@ -39,8 +39,6 @@ from .rationals import (
     CONSTANT_NAMES,
     DEFAULT_PRECISION,
     format_rational,
-    fractional_part,
-    mediant,
     nearest_int_distance,
     parse_rational,
     parse_real,
@@ -104,8 +102,6 @@ __all__ = [
     "farey_next",
     "farey_sequence",
     "format_rational",
-    "fractional_part",
-    "mediant",
     "nearest_int_distance",
     "parse_rational",
     "parse_real",

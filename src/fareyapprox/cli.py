@@ -141,9 +141,7 @@ def _parse_positive(text: str, name: str) -> Fraction:
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    # floor(x ** (1/n)) by integer Newton iteration.
-    if x < 0 or n < 1:
-        raise InvalidInputError("nth root needs x >= 0, n >= 1")
+    # floor(x ** (1/n)) by integer Newton iteration, for x >= 0, n >= 1.
     if x < 2 or n == 1:
         return x
     r = 1 << -(-x.bit_length() // n)
@@ -419,10 +417,7 @@ def run(argv: list[str]) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FareyApproxError as exc:

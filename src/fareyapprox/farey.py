@@ -5,9 +5,10 @@ F_N is the ascending list of all reduced fractions h/k with
 (unimodularity), which is what all the mediant machinery in this package
 builds on.
 
-Every term of a listing is already reduced, so one planner makes the
-listing as raw (h, k) pairs by the next-term recurrence, bounded below
-and above inside the recurrence.  The CLI prints those pairs as they are;
+Every term of a listing is already reduced, so one generator makes every
+listing as raw (h, k) pairs by the next-term recurrence, seeded at the
+lower end and stopped at the upper end.  The CLI prints those pairs as
+they are, :func:`verify_farey_properties` checks them, and
 ``farey_sequence`` wraps them in ``Fraction``s only at the library
 boundary.
 """
@@ -86,30 +87,16 @@ class PropertyReport:
     distinct_adjacent_denominators: PropertyCheck
 
     def checks(self):
-        yield "adjacent_unimodular", self.adjacent_unimodular
-        yield "mediant_of_neighbors", self.mediant_of_neighbors
-        yield "denominator_sum_exceeds_order", self.denominator_sum_exceeds_order
-        yield "distinct_adjacent_denominators", self.distinct_adjacent_denominators
+        for name in self._fields[1:]:
+            yield name, getattr(self, name)
 
     @property
     def all_passed(self) -> bool:
         return all(check.passed for _, check in self.checks())
 
 
-def _int_pairs(order: int, a: int, b: int, c: int, d: int, hn=1, hd=0) -> Iterator[tuple[int, int]]:
-    # Next-term recurrence on raw (h, k) pairs, from the seed a/b, c/d (two
-    # consecutive terms of F_order, or see _seed_below) on to the last term
-    # <= hn/hd (hd > 0, or the default 1/0, above every term: on to 1/1).
-    if a * hd <= hn * b:
-        yield a, b
-        while c <= order and c * hd <= hn * d:
-            k = (order + b) // d
-            a, b, c, d = c, d, k * c - a, k * d - b
-            yield a, b
-
-
 def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
-    # A seed a/b, c/d for _int_pairs whose c/d is the first term >= lo of
+    # A seed a/b, c/d for _farey_pairs whose c/d is the first term >= lo of
     # F_order, for 0 < lo <= 1.
     found = farey_neighbors(lo, order)
     if isinstance(found, FareyPair):
@@ -126,27 +113,30 @@ def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
 
 def _farey_pairs(order: int, lo: Fraction | None, hn=1, hd=0) -> Iterator[tuple[int, int]]:
     # The (h, k) pairs of F_order from the first term >= lo to the last
-    # term <= hn/hd (as in _int_pairs): the listing's one planner, with the
-    # recurrence seeded at lo, so no term below lo is built.
+    # term <= hn/hd (hd > 0, or the default 1/0, above every term): the one
+    # next-term recurrence of the package.  Its seed a/b, c/d has c/d the
+    # first term >= lo, so no term below lo is built; below 0/1 it is the
+    # virtual term -1/0, from which the recurrence steps to 1/order.
     _require_order(order)
     if lo is None or lo <= 0:
-        return _int_pairs(order, 0, 1, 1, order, hn, hd)
-    if lo > 1:
-        return iter(())
-    pairs = _int_pairs(order, *_seed_below(lo, order), hn, hd)
-    next(pairs, None)  # the seed's a/b, the term before lo
-    return pairs
+        a, b, c, d = -1, 0, 0, 1
+    elif lo > 1:
+        return
+    else:
+        a, b, c, d = _seed_below(lo, order)
+    while c <= d and c * hd <= hn * d:
+        yield c, d
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def farey_sequence(order: int, lo: Fraction | None = None) -> Iterator[Fraction]:
+def farey_sequence(order: int) -> Iterator[Fraction]:
     """Yield F_order in increasing order, from 0/1 to 1/1.
 
-    With ``lo``, the listing starts at the first term >= lo: the next-term
-    recurrence is seeded at lo by :func:`farey_neighbors`, so no term
-    below lo is built.  The terms are planned as integer pairs; each
-    becomes a ``Fraction`` only here, at the library boundary.
+    The terms are planned as integer pairs by the next-term recurrence;
+    each becomes a ``Fraction`` only here, at the library boundary.
     """
-    for h, k in _farey_pairs(order, lo):
+    for h, k in _farey_pairs(order, None):
         yield Fraction(h, k)
 
 
@@ -211,7 +201,7 @@ def verify_farey_properties(order: int) -> PropertyReport:
     triples = 0
     prev2: tuple[int, int] | None = None
     prev1: tuple[int, int] | None = None
-    for cur in _int_pairs(order, 0, 1, 1, order):
+    for cur in _farey_pairs(order, None):
         if prev1 is not None:
             pairs += 1
             h, k = prev1

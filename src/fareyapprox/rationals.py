@@ -51,23 +51,10 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 _PRINT_LIMIT = 10**4300
 
 
-def mediant(a: Fraction, b: Fraction) -> Fraction:
-    """Mediant (num(a)+num(b))/(den(a)+den(b)), reduced.
-
-    For a < b the mediant lies strictly between a and b.
-    """
-    return Fraction(a.numerator + b.numerator, a.denominator + b.denominator)
-
-
 def nearest_int_distance(x: Fraction) -> Fraction:
     """Distance from x to the nearest integer; always in [0, 1/2]."""
     f = x - math.floor(x)
     return min(f, 1 - f)
-
-
-def fractional_part(x: Fraction) -> Fraction:
-    """x - floor(x), always in [0, 1)."""
-    return x - math.floor(x)
 
 
 def format_rational(x: Fraction) -> str:

@@ -49,6 +49,9 @@ from .rationals import _PRINT_LIMIT
 #: Default cap on exhaustive denominator scans.
 DEFAULT_MAX_SCAN = 10_000_000
 
+# Cap on the common denominator that compose_solve builds stage by stage.
+_MAX_COMPOSE_DENOMINATOR = 10**30
+
 
 @record
 class ConstraintSet:
@@ -153,7 +156,15 @@ def best_numerator(x: Fraction, q: int) -> int:
     if not isinstance(q, int) or q < 1:
         raise InvalidInputError("denominator must be a positive integer")
     x = Fraction(x)
-    return _nearest(x.numerator, x.denominator, q)[0]
+    p, rem = divmod(x.numerator * q, x.denominator)
+    return p + 1 if 2 * rem > x.denominator else p
+
+
+def _positive_epsilon(epsilon: Fraction) -> Fraction:
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise InvalidInputError("epsilon must be positive")
+    return epsilon
 
 
 def check_solution(
@@ -170,9 +181,7 @@ def check_solution(
     its equivalent single form eps*q <= t_min.  ``overall`` is the
     conjunction of everything.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    epsilon = _positive_epsilon(epsilon)
     if not isinstance(q, int) or q < 1:
         raise InvalidInputError("q must be a positive integer")
     if len(ps) != cs.n:
@@ -201,13 +210,6 @@ def _count_text(count: int) -> str:
     if count < _PRINT_LIMIT:
         return str(count)
     return f"2**{count.bit_length() - 1} or more"
-
-
-def _nearest(xn: int, xd: int, q: int) -> tuple[int, int]:
-    # (p, |xn*q - p*xd|) for the numerator p nearest q*xn/xd, exact ties
-    # to the smaller p; the distance is xd * ||q * xn/xd||.
-    f, rem = divmod(xn * q, xd)
-    return (f + 1, xd - rem) if 2 * rem > xd else (f, rem)
 
 
 def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
@@ -242,7 +244,7 @@ def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
 def _window_hits(
     xn: int, xd: int, lo: int, hi: int, a: int, c: int, den: int
 ) -> Iterator[int]:
-    """Yield, ascending, every q in lo..hi with _nearest(xn, xd, q)[1] <= C.
+    """Yield, ascending, every q in lo..hi with xd * ||q*xn/xd|| <= C.
 
     xn/xd must be in lowest terms, and a >= 0, c >= 0 and den >= 1.  The
     half-width C = (a*b + c) // den is fixed per doubling block
@@ -313,7 +315,8 @@ def _first_fit(
     """Smallest q in lo..hi whose nearest numerators fit every item, or None.
 
     An item (i, xn, xd, a, c, den) fits q when d * den <= a*q + c, where
-    (p, d) = _nearest(xn, xd, q); its numerator p is the i-th of the
+    d = xd * ||q*xn/xd|| = |xn*q - p*xd| for the numerator p nearest
+    q*xn/xd, exact ties to the smaller p; that p is the i-th of the
     returned ones.  The candidates are lo, then the q above it that
     :func:`_window_hits` yields for the last item's (a, c, den), whose
     half-width (a*b + c) // den on the block ending at b holds every
@@ -327,7 +330,7 @@ def _first_fit(
     ps = [0] * len(items)
     for q in itertools.chain((lo,), walk):
         for i, xn, xd, a, c, den in items:
-            # _nearest(xn, xd, q), inlined: this is the hottest loop.
+            # p and d as above, computed inline: this is the hottest loop.
             p, d = divmod(xn * q, xd)
             if 2 * d > xd:
                 p, d = p + 1, xd - d
@@ -381,8 +384,8 @@ def _smallest_witnesses(
         q_max = (tn_min * ed) // (td_min * en)
         limit = min(q_max, max_scan)
         # Integer form: |x - p/q| <= eps*t with x = xn/xd, eps = en/ed and
-        # t = tn/td becomes d * ed*td <= en*tn*xd * q with (p, d) =
-        # _nearest(xn, xd, q).  The bound en*tn/(ed*td) is left unreduced:
+        # t = tn/td becomes d * ed*td <= en*tn*xd * q with
+        # d = xd * ||q*xn/xd||.  The bound en*tn/(ed*td) is left unreduced:
         # the test and the window floor((a*b + c)/den) depend only on its
         # value, so they match those of the reduced eps*t and need no gcd.
         items = [(i, xn, xd, en * tn * xd, 0, ed * td) for i, xn, xd, tn, td in parts]
@@ -417,9 +420,7 @@ def brute_force_solve(
     ``max_scan`` and no solution appears within the budget,
     BudgetExceededError is raised rather than guessing.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    epsilon = _positive_epsilon(epsilon)
     q_max = math.floor(cs.t_min / epsilon)
     if q_max < 1:
         return Infeasible("denominator range empty: floor(t_min/epsilon) = 0")
@@ -444,11 +445,7 @@ def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
     return n * q + p, q
 
 
-def compose_solve(
-    cs: ConstraintSet,
-    epsilon: Fraction,
-    max_denominator: int = 10**30,
-) -> Solution:
+def compose_solve(cs: ConstraintSet, epsilon: Fraction) -> Solution:
     """Common-denominator composition heuristic.
 
     Stage 1 approximates x_1 by Farey bracketing at order ceil(1/eps),
@@ -457,21 +454,20 @@ def compose_solve(
     Q <- q * q_k, with earlier numerators rescaled by q_k.  The result
     carries exact errors and a ``satisfies_constraints`` flag computed by
     :func:`check_solution`; nothing guarantees the flag is True, which is
-    the point of reporting it.
+    the point of reporting it.  A common denominator past 10**30 raises
+    BudgetExceededError.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    epsilon = _positive_epsilon(epsilon)
     stage_order = math.ceil(1 / epsilon)
     xs = cs.xs
     p1, q = _best_at_order(xs[0], stage_order)
     ps = [p1]
     for x in xs[1:]:
         pk, qk = _best_at_order(x * q, stage_order)
-        if q * qk > max_denominator:
+        if q * qk > _MAX_COMPOSE_DENOMINATOR:
             raise BudgetExceededError(
                 f"stage denominator {_count_text(q * qk)} exceeds cap "
-                f"{_count_text(max_denominator)}"
+                f"{_count_text(_MAX_COMPOSE_DENOMINATOR)}"
             )
         ps = [p * qk for p in ps]
         ps.append(pk)
@@ -515,7 +511,7 @@ def dirichlet_solve(
         raise BudgetExceededError(
             f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"
         )
-    # ||q*x|| <= 1/T is d * T <= xd with (p, d) = _nearest(xn, xd, q).
+    # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||.
     items = [(i, x.numerator, x.denominator, 0, x.denominator, T) for i, x in enumerate(xs)]
     fit = _first_fit(items, 1, q_max)
     if fit is not None:
@@ -574,9 +570,7 @@ def compare(
     single t).  Reports the denominator bounds t/eps vs. T**n alongside
     the achieved denominators and exact maximum errors.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise InvalidInputError("epsilon must be positive")
+    epsilon = _positive_epsilon(epsilon)
     ts = {t for _, t in cs.items}
     if len(ts) != 1:
         raise InvalidInputError(

@@ -4,7 +4,7 @@ from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareyapprox import (
@@ -17,7 +17,7 @@ from fareyapprox import (
     farey_sequence,
     verify_farey_properties,
 )
-from fareyapprox.farey import _farey_pairs, _int_pairs
+from fareyapprox.farey import _farey_pairs
 
 
 def enumerate_farey(order):
@@ -77,12 +77,20 @@ def planner_windows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(planner_windows())
+# Order 1, --to 0, --from 1 and --from 1 --to 0 pin the seeds at both ends.
+@example((1, None, (1, 0)))
+@example((5, None, (0, 1)))
+@example((5, F(1), (1, 0)))
+@example((5, F(1), (0, 1)))
 def test_farey_pairs_is_the_filtered_recurrence(window):
     # Seeded at lo and stopped at hn/hd inside the recurrence, the planner
-    # lists exactly the terms of the full run in [lo, hn/hd].
+    # lists exactly the terms of F_order in [lo, hn/hd].
     order, lo, (hn, hd) = window
-    full = _int_pairs(order, 0, 1, 1, order)
-    expected = [(h, k) for h, k in full if (lo is None or F(h, k) >= lo) and h * hd <= hn * k]
+    expected = [
+        (t.numerator, t.denominator)
+        for t in enumerate_farey(order)
+        if (lo is None or t >= lo) and t.numerator * hd <= hn * t.denominator
+    ]
     assert list(_farey_pairs(order, lo, hn, hd)) == expected
 
 

@@ -17,8 +17,6 @@ from fareyapprox import (
     CONSTANT_NAMES,
     InvalidInputError,
     format_rational,
-    fractional_part,
-    mediant,
     nearest_int_distance,
     parse_rational,
     parse_real,
@@ -49,25 +47,6 @@ def assert_canonical(x):
     assert math.gcd(abs(x.numerator), x.denominator) == 1
 
 
-def test_mediant_examples():
-    assert mediant(F(0, 1), F(1, 1)) == F(1, 2)
-    assert mediant(F(1, 3), F(1, 2)) == F(2, 5)
-    assert mediant(F(1, 2), F(1, 2)) == F(1, 2)
-
-
-def test_mediant_strictly_between():
-    rng = random.Random(202)
-    for _ in range(200):
-        a = F(rng.randint(-50, 50), rng.randint(1, 40))
-        b = F(rng.randint(-50, 50), rng.randint(1, 40))
-        if a == b:
-            continue
-        lo, hi = min(a, b), max(a, b)
-        m = mediant(lo, hi)
-        assert lo < m < hi
-        assert_canonical(m)
-
-
 def test_nearest_int_distance_examples():
     assert nearest_int_distance(F(7, 3)) == F(1, 3)
     assert nearest_int_distance(F(1, 2)) == F(1, 2)
@@ -83,21 +62,6 @@ def test_nearest_int_distance_properties():
         # exact distance to the closer of floor/ceil
         assert d == min(x - math.floor(x), math.ceil(x) - x)
         assert nearest_int_distance(x + rng.randint(-5, 5)) == d
-
-
-def test_integral_fractional_examples():
-    assert (math.floor(F(7, 3)), fractional_part(F(7, 3))) == (2, F(1, 3))
-    assert (math.floor(F(-1, 4)), fractional_part(F(-1, 4))) == (-1, F(3, 4))
-    assert (math.floor(F(5, 1)), fractional_part(F(5, 1))) == (5, F(0, 1))
-
-
-def test_integral_fractional_reassemble():
-    rng = random.Random(404)
-    for _ in range(300):
-        x = F(rng.randint(-400, 400), rng.randint(1, 50))
-        n, f = math.floor(x), fractional_part(x)
-        assert n + f == x
-        assert 0 <= f < 1
 
 
 def test_parse_fraction_and_decimal():

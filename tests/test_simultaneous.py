@@ -252,8 +252,12 @@ def test_compose_checks_catch_a_wrong_oracle():
 
 
 def test_compose_denominator_cap():
-    with pytest.raises(BudgetExceededError):
-        compose_solve(cs((SQRT2_50, F(1)), (PHI_50, F(1))), F(1, 100), max_denominator=10)
+    message = (
+        "^stage denominator 32507989518269885699489767464987 exceeds cap "
+        "1000000000000000000000000000000$"
+    )
+    with pytest.raises(BudgetExceededError, match=message):
+        compose_solve(cs((SQRT2_50, F(1)), (PHI_50, F(1))), F(1, 10**16))
 
 
 def test_dirichlet_examples():
