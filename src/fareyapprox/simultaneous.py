@@ -29,9 +29,12 @@ theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 operations, with a window that contains every q the exact test can
 accept.  :func:`_first_fit`, the one scan of the oracle, the sweep and the
 baseline, puts each q it yields through the exact integer test of every
-item, so the answers are those of a full scan.  A walk starts at the
-last hit below its lower end, which a Euclid-style descent finds in
-O(log xd) steps, so its cost does not grow with the q below its range.
+item, so the answers are those of a full scan.  The test reads only the
+distance xd * ||q*x_i||, so a q costs one remainder per item until an
+item rejects it, and the numerators are computed for the q returned
+only.  A walk starts at the last hit below its lower end, which a
+Euclid-style descent finds in O(log xd) steps, so its cost does not grow
+with the q below its range.
 """
 
 from __future__ import annotations
@@ -246,16 +249,17 @@ def _window_hits(
 ) -> Iterator[int]:
     """Yield, ascending, every q in lo..hi with xd * ||q*xn/xd|| <= C.
 
-    xn/xd must be in lowest terms, and a >= 0, c >= 0 and den >= 1.  The
-    half-width C = (a*b + c) // den is fixed per doubling block
-    [2**k, 2**(k+1) - 1] of q, where b is the block's last q (at most hi);
-    it does not decrease in b, so a hit of one block's window is a hit of
-    the next block's.  The walk starts in the block that holds lo, at the
-    last hit below lo, which :func:`_first_in_window` finds by walking
-    back from lo - 1 (q = 0 always hits, so there is one).  It carries
-    into each later block the last hit of the blocks before.  Once the
-    window covers all residues, q runs through the rest of the range one
-    by one.
+    xn/xd must be in lowest terms, a >= 0, den >= 1, and a*b + c >= 0 for
+    every block end b below (so c = -1 with a >= 1, a strict bound, is
+    allowed).  The half-width C = (a*b + c) // den is fixed per doubling
+    block [2**k, 2**(k+1) - 1] of q, where b is the block's last q (at
+    most hi); it does not decrease in b, so a hit of one block's window
+    is a hit of the next block's.  The walk starts in the block that
+    holds lo, at the last hit below lo, which :func:`_first_in_window`
+    finds by walking back from lo - 1 (q = 0 always hits, so there is
+    one).  It carries into each later block the last hit of the blocks
+    before.  Once the window covers all residues, q runs through the rest
+    of the range one by one.
     """
     lo = max(lo, 1)
     if lo > hi:
@@ -322,22 +326,31 @@ def _first_fit(
     half-width (a*b + c) // den on the block ending at b holds every
     q <= b that fits that item, so no fit is missed.  The walk is lazy,
     so it starts only if lo fails.
+
+    The test needs d only, and d is the remainder r = xn*q mod xd or
+    xd - r, whichever is smaller (a tie gives the same d either way).
+    So a candidate costs one remainder per item until an item rejects
+    it, and the numerators are computed once, for the q returned.
     """
     if lo > hi:
         return None
     _, wn, wd, wa, wc, wden = items[-1]
     walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden)
-    ps = [0] * len(items)
+    # The first item rejects most candidates, so it is tested inline.
+    (_, fn, fd, fa, fc, fden), rest = items[0], items[1:]
     for q in itertools.chain((lo,), walk):
-        for i, xn, xd, a, c, den in items:
-            # p and d as above, computed inline: this is the hottest loop.
-            p, d = divmod(xn * q, xd)
-            if 2 * d > xd:
-                p, d = p + 1, xd - d
-            if d * den > a * q + c:
+        r = fn * q % fd
+        if (fd - r if r > fd >> 1 else r) * fden > fa * q + fc:
+            continue
+        for _, xn, xd, a, c, den in rest:
+            r = xn * q % xd
+            if (xd - r if r > xd >> 1 else r) * den > a * q + c:
                 break
-            ps[i] = p
         else:
+            ps = [0] * len(items)
+            for i, xn, xd, *_ in items:
+                p, r = divmod(xn * q, xd)
+                ps[i] = p + 1 if 2 * r > xd else p
             return q, tuple(ps)
     return None
 

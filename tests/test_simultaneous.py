@@ -304,7 +304,8 @@ def test_dirichlet_validation_and_budget():
 def window_walks(draw):
     # Denominators 1..3 and target 0 are the corner cases; the window runs
     # from a single residue (C = 0) to the whole circle.  lo runs up to
-    # 10**12, so a walk that stepped up from q = 0 would not finish.
+    # 10**12, so a walk that stepped up from q = 0 would not finish.  A
+    # slope a >= 1 also draws c = -1, the strict bound of a record walk.
     xd = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400), st.integers(1, 10**15)))
     x = F(draw(st.integers(-3 * xd, 3 * xd)), xd)
     lo = draw(st.one_of(st.integers(1, 1501), st.integers(1, 10**12)))
@@ -315,7 +316,8 @@ def window_walks(draw):
     else:
         bn = draw(st.integers(0, 4))
         bd = draw(st.one_of(st.integers(1, 4000), st.integers(1, 4 * 10**15)))
-        bound = (bn * x.denominator, 0, bd)
+        c = draw(st.sampled_from([0, -1])) if bn else 0
+        bound = (bn * x.denominator, c, bd)
     return x.numerator, x.denominator, lo, hi, bound
 
 
@@ -329,6 +331,44 @@ def test_window_hits_equal_linear_filter(walk):
         if min(r, xd - r) <= (a * min((1 << q.bit_length()) - 1, hi) + c) // den:
             expected.append(q)
     assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den)) == expected
+
+
+@st.composite
+def fit_scans(draw):
+    # Small even denominators give exact ties, 2*d == xd, where the
+    # numerator goes to the smaller p.  The items come in any order, as
+    # the pivot order puts them, with oracle-style bounds (a > 0, c = 0)
+    # or Dirichlet-style ones (a = 0, c > 0); lo > 1 is where a sweep
+    # point starts.
+    n = draw(st.integers(1, 4))
+    oracle = draw(st.booleans())
+    items = []
+    for i in draw(st.permutations(range(n))):
+        xd = draw(st.one_of(st.sampled_from([2, 4, 6, 8]), st.integers(1, 60)))
+        x = F(draw(st.integers(-3 * xd, 3 * xd)), xd)
+        xn, xd = x.numerator, x.denominator
+        if oracle:
+            bound = (draw(st.integers(1, 4)) * xd, 0, draw(st.integers(1, 400)))
+        else:
+            bound = (0, draw(st.integers(1, 2 * xd)), draw(st.integers(1, 12)))
+        items.append((i, xn, xd, *bound))
+    lo = draw(st.integers(1, 300))
+    return items, lo, draw(st.integers(lo - 1, lo + 400))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fit_scans())
+def test_first_fit_equals_linear_scan(scan):
+    # The reference takes the nearest numerator of each item, ties to the
+    # smaller p, and its integer test d*den <= a*q + c, at every q.
+    items, lo, hi = scan
+    expected = None
+    for q in range(lo, hi + 1):
+        ps = {i: best_numerator(F(xn, xd), q) for i, xn, xd, _, _, _ in items}
+        if all(abs(xn * q - ps[i] * xd) * den <= a * q + c for i, xn, xd, a, c, den in items):
+            expected = q, tuple(ps[i] for i in range(len(items)))
+            break
+    assert simultaneous._first_fit(items, lo, hi) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -409,14 +449,26 @@ def visited(monkeypatch):
     return seen
 
 
-def test_oracle_visits_few_denominators(visited):
-    # n = 6, t_min = 1/10, range 10**5, infeasible: walking the item with
-    # the smallest t should offer about 2*t_min**2 = 2% of the range, where
-    # the first item (t = 1) would offer 20% and a full scan all of it.
+def six_constants():
+    # n = 6, t_min = 1/10: at eps = 1/10**6 the range is 10**5, infeasible.
     names = ("sqrt2", "sqrt3", "sqrt5", "phi", "e", "pi")
-    c = cs(*[(parse_real(name, 64), F(1, 10) if i else F(1)) for i, name in enumerate(names)])
-    assert isinstance(brute_force_solve(c, F(1, 10**6)), Infeasible)
+    return cs(*[(parse_real(name, 64), F(1, 10) if i else F(1)) for i, name in enumerate(names)])
+
+
+def test_oracle_visits_few_denominators(visited):
+    # Walking the item with the smallest t should offer about
+    # 2*t_min**2 = 2% of the range, where the first item (t = 1) would
+    # offer 20% and a full scan all of it.
+    assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
     assert 0 < len(visited) < 0.03 * 10**5
+
+
+def test_oracle_walk_yields_a_pinned_count(visited):
+    # The exact number of q the walk offers on the instance above.  A
+    # cheaper test per candidate leaves it as it is; a walk that skips
+    # candidates (a sieve over two windows) must change it.
+    assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
+    assert len(visited) == 1259
 
 
 def test_sweep_tries_previous_witness_first(visited):
