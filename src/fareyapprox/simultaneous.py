@@ -27,20 +27,24 @@ of the rotation q -> q*x mod 1 to an interval, which by the three-gap
 theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 :func:`_window_hits` steps from one such q to the next in a few integer
 operations, with a window that contains every q the exact test can
-accept.  :func:`_first_fit`, the one scan of the oracle, the sweep and the
-baseline, puts each q it yields through the exact integer test of every
-item, so the answers are those of a full scan.  The test reads only the
-distance xd * ||q*x_i||, so a q costs one remainder per item until an
-item rejects it, and the numerators are computed for the q returned
-only.  A walk starts at the last hit below its lower end, which a
-Euclid-style descent finds in O(log xd) steps, so its cost does not grow
-with the q below its range.
+accept.  The gaps of a doubling block of q are read off the Stern-Brocot
+descent on the pivot: a scan builds that descent once, as deep as its
+narrowest window needs, and each block bisects it, so a sweep descends
+the pivot once for all its points.  :func:`_first_fit`, the one scan of
+the oracle, the sweep and the baseline, puts each q it yields through
+the exact integer test of every item, so the answers are those of a full
+scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
+remainder per item until an item rejects it, and the numerators are
+computed for the q returned only.  A walk starts at the last hit below
+its lower end, which a Euclid-style descent finds in O(log xd) steps, so
+its cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -244,8 +248,71 @@ def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
     return j
 
 
+def _descent(xn: int, xd: int) -> list[tuple[int, int, int, int, int]]:
+    """The root of the Stern-Brocot descent on xn/xd, as a path for :func:`_steps`.
+
+    A level is (-min(u, v), q1, u, q2, v): q1 is the first q >= 1 whose
+    residue xn*q mod xd moves forward by u, q2 the first whose residue
+    moves back by v, so q1 and q2 are the left and right endpoints of the
+    descent (one-sided best approximations).  The root is q1 = q2 = 1.
+    The key -min(u, v) does not decrease along the path, so the path can
+    be bisected by it.
+    """
+    u = xn % xd
+    return [(-min(u, xd - u), 1, u, 1, xd - u)]
+
+
+def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int, int, int]:
+    """(q1, u, q2, v) of the first level of the descent with u < w and v < w.
+
+    The descent steps in batches as in farey.farey_neighbors: at each
+    level the larger of u and v drops below the smaller, by as many steps
+    of the smaller as keep it >= 1.  u == v happens only at u = v = 1,
+    next to xn/xd itself, whose one step goes to q1 = q2 = xd with
+    u = v = 0 (for w = 1 the hits are the multiples of xd).  So levels
+    whose smaller residue is >= w are passed whole, and the first level
+    whose smaller residue is < w needs at most one partial step: the
+    fewest steps of the smaller that take the larger below w.  ``path``
+    (from :func:`_descent`) keeps the levels found so far and is extended
+    in place only as deep as w needs, so the callers that walk one target
+    with many windows take each level's step once.
+    """
+    if path[-1][0] <= -w:
+        _, q1, u, q2, v = path[-1]
+        while True:
+            if u > v:
+                j = (u - 1) // v
+                q1, u = q1 + j * q2, u - j * v
+            elif v > u:
+                j = (v - 1) // u
+                q2, v = q2 + j * q1, v - j * u
+            else:
+                q1 = q2 = q1 + q2
+                u = v = 0
+            path.append((-min(u, v), q1, u, q2, v))
+            if u < w or v < w:
+                break
+    # The key -min(u, v) of the first level with min(u, v) < w is >= 1 - w,
+    # and a longer tuple sorts after its prefix (1 - w,).
+    _, q1, u, q2, v = path[bisect_left(path, (1 - w,))]
+    if u >= w:
+        j = (u - w) // v + 1
+        q1, u = q1 + j * q2, u - j * v
+    elif v >= w:
+        j = (v - w) // u + 1
+        q2, v = q2 + j * q1, v - j * u
+    return q1, u, q2, v
+
+
 def _window_hits(
-    xn: int, xd: int, lo: int, hi: int, a: int, c: int, den: int
+    xn: int,
+    xd: int,
+    lo: int,
+    hi: int,
+    a: int,
+    c: int,
+    den: int,
+    path: list[tuple[int, int, int, int, int]] | None = None,
 ) -> Iterator[int]:
     """Yield, ascending, every q in lo..hi with xd * ||q*xn/xd|| <= C.
 
@@ -259,11 +326,15 @@ def _window_hits(
     finds by walking back from lo - 1 (q = 0 always hits, so there is
     one).  It carries into each later block the last hit of the blocks
     before.  Once the window covers all residues, q runs through the rest
-    of the range one by one.
+    of the range one by one.  Each block reads its steps off ``path``,
+    the descent on xn/xd that a caller walking xn/xd more than once
+    passes to every walk; without one the walk starts its own.
     """
     lo = max(lo, 1)
     if lo > hi:
         return
+    if path is None:
+        path = _descent(xn, xd)
     q, k = None, lo.bit_length() - 1
     while 1 << k <= hi:
         first, last = max(lo, 1 << k), min((2 << k) - 1, hi)
@@ -274,24 +345,8 @@ def _window_hits(
             return
         # Shifted residues s = (xn*q + h) mod xd put the window at 0..w-1.
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
-        # the first whose residue moves back by v < w.  They are the first
-        # left and right endpoints of the Stern-Brocot descent on xn/xd
-        # with error inside the window (one-sided best approximations),
-        # reached in batched steps as in farey.farey_neighbors.  u == v
-        # happens only at u = v = 1, next to xn/xd itself, where a window
-        # w >= 2 has already stopped the loop; for w = 1 the hits are the
-        # multiples of xd, so q1 = q2 = xd with u = v = 0.
-        q1, u, q2, v = 1, xn % xd, 1, xd - xn % xd
-        while u >= w or v >= w:
-            if u > v:
-                j = min((u - 1) // v, (u - w) // v + 1)
-                q1, u = q1 + j * q2, u - j * v
-            elif v > u:
-                j = min((v - 1) // u, (v - w) // u + 1)
-                q2, v = q2 + j * q1, v - j * u
-            else:
-                q1 = q2 = q1 + q2
-                u = v = 0
+        # the first whose residue moves back by v < w.
+        q1, u, q2, v = _steps(path, w)
         if q is None:
             # Walking back from lo - 1 moves the residue by -xn per step.
             q = lo - 1 - _first_in_window(-xn, xn * (lo - 1) + h, xd, w)
@@ -314,7 +369,10 @@ def _window_hits(
 
 
 def _first_fit(
-    items: Sequence[tuple[int, int, int, int, int, int]], lo: int, hi: int
+    items: Sequence[tuple[int, int, int, int, int, int]],
+    lo: int,
+    hi: int,
+    path: list[tuple[int, int, int, int, int]] | None = None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """Smallest q in lo..hi whose nearest numerators fit every item, or None.
 
@@ -325,7 +383,8 @@ def _first_fit(
     :func:`_window_hits` yields for the last item's (a, c, den), whose
     half-width (a*b + c) // den on the block ending at b holds every
     q <= b that fits that item, so no fit is missed.  The walk is lazy,
-    so it starts only if lo fails.
+    so it starts only if lo fails; ``path``, if given, is the last item's
+    descent from :func:`_descent`, shared with the caller's other walks.
 
     The test needs d only, and d is the remainder r = xn*q mod xd or
     xd - r, whichever is smaller (a tie gives the same d either way).
@@ -335,7 +394,7 @@ def _first_fit(
     if lo > hi:
         return None
     _, wn, wd, wa, wc, wden = items[-1]
-    walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden)
+    walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden, path)
     # The first item rejects most candidates, so it is tested inline.
     (_, fn, fd, fa, fc, fden), rest = items[0], items[1:]
     for q in itertools.chain((lo,), walk):
@@ -359,39 +418,45 @@ def _smallest_witnesses(
     cs: ConstraintSet,
     grid: Sequence[Fraction],
     max_scan: int,
-) -> list[Solution | None]:
-    """Smallest-q solution for each point of a strictly descending grid.
+) -> list[tuple[int, Solution | None]]:
+    """Range end floor(t_min/eps) and smallest-q solution of each grid point.
 
-    A q that fails the error bounds at some eps fails them at every smaller
-    eps, so point k needs no q below the witness of point k-1, or below
-    the end of its range when it had none.  Each point therefore starts at
-    that q, which it tests first and which settles most points of a fine
-    grid at once; a point it does not settle walks on from that q, so
-    the sweep walks each q of its overall range at most once.  No
-    point is skipped, because feasibility is not monotone in eps (a large
-    eps can have an empty range while smaller ones are feasible).  The
-    first point, in grid order, whose range exceeds ``max_scan`` and that
-    has no witness within it raises BudgetExceededError, as a per-point
-    scan would.
+    The grid must be strictly descending.  A q that fails the error bounds
+    at some eps fails them at every smaller eps, so point k needs no q
+    below the witness of point k-1, or below the end of its range when it
+    had none.  Each point therefore starts at that q, which it tests first
+    and which settles most points of a fine grid at once; a point it does
+    not settle walks on from that q, so the sweep walks each q of its
+    overall range at most once.  No point is skipped, because feasibility
+    is not monotone in eps (a large eps can have an empty range while
+    smaller ones are feasible).  The first point, in grid order, whose
+    range exceeds ``max_scan`` and that has no witness within it raises
+    BudgetExceededError, as a per-point scan would.
 
     :func:`_first_fit` walks the window of the pivot item, the first with
     the smallest t_i, so a scan visits at most about 2*t_pivot*t_min of
-    its range.  Each point is set up in integers from the numerators and
-    denominators of eps, x_i and t_i, read once per call: its range end
-    floor(t_min/eps) and each item's bound build no Fraction.
+    its range.  Every walk of the sweep reads its steps off one descent on
+    the pivot, which therefore goes down each level once per sweep.  The
+    sweep is set up in integers from the numerators and denominators of
+    eps, x_i and t_i, read once per call: the pivot, the item order, each
+    point's range end and each item's bound build no Fraction.
     """
-    witnesses: list[Solution | None] = []
-    start = 1
-    pivot = min(range(cs.n), key=lambda i: cs.items[i][1])
+    parts = [
+        (i, x.numerator, x.denominator, t.numerator, t.denominator)
+        for i, (x, t) in enumerate(cs.items)
+    ]
+    # t_i * L for L the lcm of the weights' denominators: exact sort keys.
+    scale = math.lcm(*[td for *_, td in parts])
+    keys = [tn * (scale // td) for *_, tn, td in parts]
+    pivot = keys.index(min(keys))
     # Every candidate is in the pivot's window, so test the pivot last and
     # the other items from the tightest bound up: a miss shows sooner.
-    order = sorted(range(cs.n), key=lambda i: (i == pivot, cs.items[i][1]))
-    tn_min, td_min = cs.t_min.numerator, cs.t_min.denominator
-    parts = []
-    for i in order:
-        x, t = cs.items[i]
-        parts.append((i, x.numerator, x.denominator, t.numerator, t.denominator))
+    parts.sort(key=lambda part: (part[0] == pivot, keys[part[0]]))
+    _, pn, pd, tn_min, td_min = parts[-1]
+    path = _descent(pn, pd)
     xs = cs.xs
+    points: list[tuple[int, Solution | None]] = []
+    start = 1
     for epsilon in grid:
         en, ed = epsilon.numerator, epsilon.denominator
         q_max = (tn_min * ed) // (td_min * en)
@@ -402,10 +467,10 @@ def _smallest_witnesses(
         # the test and the window floor((a*b + c)/den) depend only on its
         # value, so they match those of the reduced eps*t and need no gcd.
         items = [(i, xn, xd, en * tn * xd, 0, ed * td) for i, xn, xd, tn, td in parts]
-        fit = _first_fit(items, start, limit)
+        fit = _first_fit(items, start, limit, path)
         if fit is not None:
             q, ps = fit
-            witnesses.append(Solution(q, ps, _exact_errors(xs, q, ps), epsilon, "brute"))
+            points.append((q_max, Solution(q, ps, _exact_errors(xs, q, ps), epsilon, "brute")))
             start = q
             continue
         if q_max > max_scan:
@@ -413,9 +478,9 @@ def _smallest_witnesses(
                 f"scan budget exhausted after {_count_text(max_scan)} of "
                 f"{_count_text(q_max)} denominators"
             )
-        witnesses.append(None)
+        points.append((q_max, None))
         start = max(start, limit + 1)
-    return witnesses
+    return points
 
 
 def brute_force_solve(
@@ -434,13 +499,12 @@ def brute_force_solve(
     BudgetExceededError is raised rather than guessing.
     """
     epsilon = _positive_epsilon(epsilon)
-    q_max = math.floor(cs.t_min / epsilon)
+    [(q_max, witness)] = _smallest_witnesses(cs, (epsilon,), max_scan)
+    if witness is not None:
+        return witness
     if q_max < 1:
         return Infeasible("denominator range empty: floor(t_min/epsilon) = 0")
-    [witness] = _smallest_witnesses(cs, (epsilon,), max_scan)
-    if witness is None:
-        return Infeasible(f"no feasible denominator in 1..{q_max}")
-    return witness
+    return Infeasible(f"no feasible denominator in 1..{q_max}")
 
 
 def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
@@ -557,11 +621,12 @@ def epsilon_threshold(
     grid = tuple(Fraction(g) for g in grid)
     if not grid:
         raise InvalidInputError("grid must be nonempty")
-    if any(g <= 0 for g in grid):
+    pairs = [(g.numerator, g.denominator) for g in grid]
+    if any(gn <= 0 for gn, _ in pairs):
         raise InvalidInputError("grid points must be positive")
-    if any(a <= b for a, b in zip(grid, grid[1:])):
+    if any(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(pairs, pairs[1:])):
         raise InvalidInputError("grid must be strictly descending")
-    witnesses = _smallest_witnesses(cs, grid, max_scan)
+    witnesses = [w for _, w in _smallest_witnesses(cs, grid, max_scan)]
     feasible = tuple(w is not None for w in witnesses)
     epsilon0 = None
     for g, ok in zip(reversed(grid), reversed(feasible)):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fareyapprox.simultaneous as simultaneous
@@ -300,14 +300,18 @@ def test_dirichlet_validation_and_budget():
         dirichlet_solve([SQRT2_50, PHI_50], 20, max_scan=10)
 
 
+def window_targets():
+    # Denominators 1..3 and target 0 are the corner cases.
+    denominators = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400), st.integers(1, 10**15))
+    return denominators.flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd)))
+
+
 @st.composite
-def window_walks(draw):
-    # Denominators 1..3 and target 0 are the corner cases; the window runs
-    # from a single residue (C = 0) to the whole circle.  lo runs up to
-    # 10**12, so a walk that stepped up from q = 0 would not finish.  A
-    # slope a >= 1 also draws c = -1, the strict bound of a record walk.
-    xd = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400), st.integers(1, 10**15)))
-    x = F(draw(st.integers(-3 * xd, 3 * xd)), xd)
+def walk_bounds(draw, x):
+    # The window runs from a single residue (C = 0) to the whole circle.
+    # lo runs up to 10**12, so a walk that stepped up from q = 0 would not
+    # finish.  A slope a >= 1 also draws c = -1, the strict bound of a
+    # record walk.
     lo = draw(st.one_of(st.integers(1, 1501), st.integers(1, 10**12)))
     hi = draw(st.integers(lo - 1, lo + 1500))
     if draw(st.booleans()):
@@ -318,19 +322,114 @@ def window_walks(draw):
         bd = draw(st.one_of(st.integers(1, 4000), st.integers(1, 4 * 10**15)))
         c = draw(st.sampled_from([0, -1])) if bn else 0
         bound = (bn * x.denominator, c, bd)
+    return lo, hi, bound
+
+
+@st.composite
+def window_walks(draw):
+    x = draw(window_targets())
+    lo, hi, bound = draw(walk_bounds(x))
     return x.numerator, x.denominator, lo, hi, bound
+
+
+def linear_hits(xn, xd, lo, hi, a, c, den):
+    # Every q in lo..hi within the half-width of the doubling block that
+    # holds it, ended at hi.
+    hits = []
+    for q in range(lo, hi + 1):
+        r = xn * q % xd
+        if min(r, xd - r) <= (a * min((1 << q.bit_length()) - 1, hi) + c) // den:
+            hits.append(q)
+    return hits
 
 
 @settings(max_examples=400, deadline=None)
 @given(window_walks())
 def test_window_hits_equal_linear_filter(walk):
     xn, xd, lo, hi, (a, c, den) = walk
-    expected = []
-    for q in range(lo, hi + 1):
-        r = xn * q % xd
-        if min(r, xd - r) <= (a * min((1 << q.bit_length()) - 1, hi) + c) // den:
-            expected.append(q)
+    expected = linear_hits(xn, xd, lo, hi, a, c, den)
     assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den)) == expected
+
+
+def per_block_steps(xn, xd, w):
+    # The descent as each doubling block ran it before blocks shared one:
+    # from the root every time.  Returns (q1, u, q2, v) and its number of
+    # batched steps.
+    q1, u, q2, v = 1, xn % xd, 1, xd - xn % xd
+    count = 0
+    while u >= w or v >= w:
+        count += 1
+        if u > v:
+            j = min((u - 1) // v, (u - w) // v + 1)
+            q1, u = q1 + j * q2, u - j * v
+        elif v > u:
+            j = min((v - 1) // u, (v - w) // u + 1)
+            q2, v = q2 + j * q1, v - j * u
+        else:
+            q1 = q2 = q1 + q2
+            u = v = 0
+    return (q1, u, q2, v), count
+
+
+STANDINS_64 = tuple(parse_real(name, 64) for name in ("sqrt2", "sqrt3", "phi", "e", "pi"))
+
+
+@st.composite
+def shared_descents(draw):
+    # A walk never asks for w >= xd, so xd = 1 (where every w is) is left
+    # out; for xd >= 2 that w gives the root.  Windows are drawn by bit
+    # length, so 64-digit stand-ins get deep ones too, in any order.
+    x = draw(st.one_of(
+        st.integers(2, 400).flatmap(
+            lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))
+        ).filter(lambda x: x.denominator > 1),
+        st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)),
+    ))
+    xd = x.denominator
+    window = st.one_of(
+        st.sampled_from([1, 2, xd - 1, xd, xd + 1]),
+        st.integers(1, xd.bit_length()).flatmap(lambda b: st.integers(1 << (b - 1), 1 << b)),
+    )
+    return x.numerator, xd, draw(st.lists(window, min_size=1, max_size=12))
+
+
+_SQRT2 = STANDINS_64[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_descents())
+@example((_SQRT2.numerator, _SQRT2.denominator, [1, 10**40, 1, 2, 10**63, _SQRT2.denominator]))
+def test_shared_descent_equals_per_block_descent(case):
+    # One path serves every window, deep then shallow or the other way:
+    # each gets the steps a descent from the root gives, and the path ends
+    # at the first level whose smaller residue is below the narrowest
+    # window so far.
+    xn, xd, windows = case
+    path = simultaneous._descent(xn, xd)
+    for k, w in enumerate(windows):
+        expected, _ = per_block_steps(xn, xd, w)
+        assert simultaneous._steps(path, w) == expected
+        narrowest = min(windows[: k + 1])
+        keys = [-level[0] for level in path]
+        assert keys[-1] < narrowest and all(key >= narrowest for key in keys[:-1])
+
+
+@st.composite
+def shared_walks(draw):
+    x = draw(st.one_of(window_targets(), st.sampled_from(STANDINS_64)))
+    return x.numerator, x.denominator, draw(st.lists(walk_bounds(x), min_size=2, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_walks())
+def test_walks_sharing_a_descent_equal_linear_filter(case):
+    # Walks of one target, each with its own bound and lo, as a sweep's
+    # points make them, read their steps off one path.
+    xn, xd, walks = case
+    path = simultaneous._descent(xn, xd)
+    for lo, hi, (a, c, den) in walks:
+        expected = linear_hits(xn, xd, lo, hi, a, c, den)
+        assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den, path)) == expected
 
 
 @st.composite
@@ -469,6 +568,42 @@ def test_oracle_walk_yields_a_pinned_count(visited):
     # candidates (a sieve over two windows) must change it.
     assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
     assert len(visited) == 1259
+
+
+def test_sweep_descends_the_pivot_once(monkeypatch):
+    # Every block of every point reads its steps off one descent on the
+    # pivot, which takes each level's batched step once for the whole
+    # sweep: 10 levels below the root, where a descent from the root in
+    # each of the 19 blocks walked takes 140 batched steps.
+    paths, windows = [], []
+    descent, steps = simultaneous._descent, simultaneous._steps
+
+    class CountingPath(list):
+        appends = 0
+
+        def append(self, level):
+            self.appends += 1
+            super().append(level)
+
+    def counting_descent(xn, xd):
+        paths.append(CountingPath(descent(xn, xd)))
+        return paths[-1]
+
+    def recording_steps(path, w):
+        windows.append(w)
+        return steps(path, w)
+
+    monkeypatch.setattr(simultaneous, "_descent", counting_descent)
+    monkeypatch.setattr(simultaneous, "_steps", recording_steps)
+    c = six_constants()
+    rep = epsilon_threshold(c, [F(1, 10**k) for k in range(3, 7)])
+    assert rep.feasible == (False,) * 4
+    [path] = paths
+    assert path.appends == len(path) - 1 == len(set(path)) - 1
+    pivot = c.items[1][0]  # sqrt3, the first item with the smallest weight
+    per_block = [per_block_steps(pivot.numerator, pivot.denominator, w)[1] for w in windows]
+    assert len(path) - 1 <= max(per_block)
+    assert (len(path) - 1, len(windows), sum(per_block)) == (10, 19, 140)
 
 
 def test_sweep_tries_previous_witness_first(visited):
