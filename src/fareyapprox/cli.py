@@ -237,8 +237,12 @@ def _cmd_subdivide(args) -> int:
     pairs = _plan_subdivision(base, gap, denom_bound, args.max_points)
     sys.stdout.write(_pair_lines(pairs))
     # Adjacent points are unimodular neighbours, so each gap is 1/(k_a*k_b).
-    dens = [k for _, k in pairs]
-    prods = [a * b for a, b in zip(dens, dens[1:])]
+    # The chain's denominators grow away from its anchor endpoint, so the
+    # products of adjacent ones are monotone except next to the far
+    # endpoint: the extremes are among the first two and the last two, and
+    # the largest denominator is the second or the second-to-last point's.
+    head, tail = [k for _, k in pairs[:3]], [k for _, k in pairs[-3:]]
+    prods = [a * b for ends in (head, tail) for a, b in zip(ends, ends[1:])]
     _emit_json(
         {
             "points": len(pairs),
@@ -246,7 +250,7 @@ def _cmd_subdivide(args) -> int:
             "min_gap": "1/" + _int_text(max(prods)),
             "gap_bound": format_rational(gap),
             "denom_bound": denom_bound,
-            "max_denominator": max(dens),
+            "max_denominator": max(head[1], tail[-2]),
         },
         args.precision,
     )
@@ -350,7 +354,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_farey)
 
     p = subs.add_parser("neighbors", help="bracket a value between consecutive Farey terms")
-    p.add_argument("--x", required=True)
+    p.add_argument(
+        "--x",
+        required=True,
+        help="value in [0, 1] to bracket; every named constant exceeds 1, so names do not apply",
+    )
     p.add_argument("--order", type=int, required=True)
     _add_precision(p)
     p.set_defaults(func=_cmd_neighbors)

@@ -35,9 +35,12 @@ the oracle, the sweep and the baseline, puts each q it yields through
 the exact integer test of every item, so the answers are those of a full
 scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
 remainder per item until an item rejects it, and the numerators are
-computed for the q returned only.  A walk starts at the last hit below
-its lower end, which a Euclid-style descent finds in O(log xd) steps, so
-its cost does not grow with the q below its range.
+computed for the q returned only.  The first item tested, which rejects
+most q, compares that remainder with its own window on the q's doubling
+block before its exact bound, so most q cost a remainder and two
+compares.  A walk starts at the last hit below its lower end, which a
+Euclid-style descent finds in O(log xd) steps, so its cost does not grow
+with the q below its range.
 """
 
 from __future__ import annotations
@@ -172,6 +175,11 @@ def _positive_epsilon(epsilon: Fraction) -> Fraction:
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     return epsilon
+
+
+def _check_budget(max_scan: int) -> None:
+    if max_scan < 0:
+        raise InvalidInputError("max_scan must be nonnegative")
 
 
 def check_solution(
@@ -389,7 +397,13 @@ def _first_fit(
     The test needs d only, and d is the remainder r = xn*q mod xd or
     xd - r, whichever is smaller (a tie gives the same d either way).
     So a candidate costs one remainder per item until an item rejects
-    it, and the numerators are computed once, for the q returned.
+    it, and the numerators are computed once, for the q returned.  The
+    first item, which rejects most candidates, first gets its block
+    window: a*q + c does not decrease in q, so a q that fits it has
+    d <= h = (a*b + c) // den, with b the end of q's doubling block (at
+    most hi).  A q with h < r < xd - h is rejected by two compares
+    against per-block integers, and only a q inside the window pays the
+    exact bound.
     """
     if lo > hi:
         return None
@@ -397,9 +411,14 @@ def _first_fit(
     walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden, path)
     # The first item rejects most candidates, so it is tested inline.
     (_, fn, fd, fa, fc, fden), rest = items[0], items[1:]
+    end = -1
     for q in itertools.chain((lo,), walk):
+        if q > end:
+            end = min((1 << q.bit_length()) - 1, hi)
+            h = (fa * end + fc) // fden
+            top = fd - h
         r = fn * q % fd
-        if (fd - r if r > fd >> 1 else r) * fden > fa * q + fc:
+        if h < r < top or (fd - r if r > fd >> 1 else r) * fden > fa * q + fc:
             continue
         for _, xn, xd, a, c, den in rest:
             r = xn * q % xd
@@ -499,6 +518,7 @@ def brute_force_solve(
     BudgetExceededError is raised rather than guessing.
     """
     epsilon = _positive_epsilon(epsilon)
+    _check_budget(max_scan)
     [(q_max, witness)] = _smallest_witnesses(cs, (epsilon,), max_scan)
     if witness is not None:
         return witness
@@ -574,6 +594,7 @@ def dirichlet_solve(
         raise InvalidInputError("need at least one target")
     if not isinstance(T, int) or T < 2:
         raise InvalidInputError("T must be an integer >= 2")
+    _check_budget(max_scan)
     # T**n >= 2**k.  Once k reaches the bit lengths of both max_scan + 1 and
     # the print limit, T**n - 1 is past the budget and too long to print,
     # so 2**k - 1 stands in for it: the power takes seconds for a long T
@@ -626,6 +647,7 @@ def epsilon_threshold(
         raise InvalidInputError("grid points must be positive")
     if any(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(pairs, pairs[1:])):
         raise InvalidInputError("grid must be strictly descending")
+    _check_budget(max_scan)
     witnesses = [w for _, w in _smallest_witnesses(cs, grid, max_scan)]
     feasible = tuple(w is not None for w in witnesses)
     epsilon0 = None

@@ -728,6 +728,18 @@ options:
   --precision PRECISION
                         decimal digits kept for named constants (default 64)
 """
+# Every named constant exceeds 1, so --x takes none of them.
+_NEIGHBORS_HELP = """\
+usage: farey-approx neighbors [-h] --x X --order ORDER [--precision PRECISION]
+
+options:
+  -h, --help            show this help message and exit
+  --x X                 value in [0, 1] to bracket; every named constant
+                        exceeds 1, so names do not apply
+  --order ORDER
+  --precision PRECISION
+                        decimal digits kept for named constants (default 64)
+"""
 _MISSING_REQUIRED = _SUBDIVIDE_USAGE + (
     "farey-approx subdivide: error: the following arguments are required: --hi, --gap\n"
 )
@@ -738,6 +750,7 @@ _MISSING_REQUIRED = _SUBDIVIDE_USAGE + (
     [
         (["-h"], (0, _TOP_HELP, "")),
         (["subdivide", "-h"], (0, _SUBDIVIDE_HELP, "")),
+        (["neighbors", "-h"], (0, _NEIGHBORS_HELP, "")),
         (["subdivide", "--lo", "1/3", "--order", "3"], (1, "", _MISSING_REQUIRED)),
     ],
 )

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -114,6 +115,33 @@ def test_library_rejects_nonpositive_epsilon(call, eps):
     # caller reaches their own checks.
     with pytest.raises(InvalidInputError, match="epsilon must be positive"):
         call(cs((F(1, 2), F(1))), eps)
+
+
+_EMPTY_RANGE = "denominator range empty: floor(t_min/epsilon) = 0"
+_NO_BUDGET = "T**n - 1 = 3 exceeds scan budget 0"
+
+
+@pytest.mark.parametrize(
+    "call, zero_budget",
+    [
+        (lambda c, m: brute_force_solve(c, F(2), max_scan=m), Infeasible(_EMPTY_RANGE)),
+        (lambda c, m: epsilon_threshold(c, [F(2)], max_scan=m).feasible, (False,)),
+        (lambda c, m: dirichlet_solve(c.xs, 4, max_scan=m), BudgetExceededError(_NO_BUDGET)),
+        (lambda c, m: compare(c, F(2), 4, max_scan=m), BudgetExceededError(_NO_BUDGET)),
+    ],
+)
+def test_library_rejects_negative_budget(call, zero_budget):
+    # The CLI refuses FAREY_APPROX_MAX_SCAN < 1, so only a library caller
+    # reaches these checks.  A budget of 0 stays valid: it decides an
+    # empty range and stops any scan before its first q.
+    c = cs((F(1, 3), F(1)))
+    with pytest.raises(InvalidInputError, match="^max_scan must be nonnegative$"):
+        call(c, -1)
+    if isinstance(zero_budget, Exception):
+        with pytest.raises(type(zero_budget), match=f"^{re.escape(str(zero_budget))}$"):
+            call(c, 0)
+    else:
+        assert call(c, 0) == zero_budget
 
 
 def test_library_rejects_zero_denominator():
@@ -435,24 +463,36 @@ def test_walks_sharing_a_descent_equal_linear_filter(case):
 @st.composite
 def fit_scans(draw):
     # Small even denominators give exact ties, 2*d == xd, where the
-    # numerator goes to the smaller p.  The items come in any order, as
-    # the pivot order puts them, with oracle-style bounds (a > 0, c = 0)
-    # or Dirichlet-style ones (a = 0, c > 0); lo > 1 is where a sweep
-    # point starts.
+    # numerator goes to the smaller p, and 64-digit stand-ins give long
+    # remainders.  The items come in any order, as the pivot order puts
+    # them, with oracle-style bounds (a > 0, and c = 0 or c = -1, the
+    # strict bound of a record walk) or Dirichlet-style ones (a = 0,
+    # c > 0).  lo > 1 is where a sweep point starts; a lo at or just below
+    # a power of two puts a doubling-block edge, where the first item's
+    # window widens, near the start of the range.  A den up to
+    # 64*(hi + 1) keeps some windows narrow at every q.
+    lo = draw(st.one_of(
+        st.integers(1, 300),
+        st.integers(1, 40).flatmap(lambda k: st.integers(max(1, (1 << k) - 8), 1 << k)),
+    ))
+    hi = draw(st.integers(lo - 1, lo + 400))
     n = draw(st.integers(1, 4))
     oracle = draw(st.booleans())
     items = []
     for i in draw(st.permutations(range(n))):
         xd = draw(st.one_of(st.sampled_from([2, 4, 6, 8]), st.integers(1, 60)))
-        x = F(draw(st.integers(-3 * xd, 3 * xd)), xd)
+        x = draw(st.one_of(
+            st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd)),
+            st.sampled_from(STANDINS_64),
+        ))
         xn, xd = x.numerator, x.denominator
         if oracle:
-            bound = (draw(st.integers(1, 4)) * xd, 0, draw(st.integers(1, 400)))
+            den = draw(st.one_of(st.integers(1, 400), st.integers(1, 64 * (hi + 1))))
+            bound = (draw(st.integers(1, 4)) * xd, draw(st.sampled_from([0, -1])), den)
         else:
             bound = (0, draw(st.integers(1, 2 * xd)), draw(st.integers(1, 12)))
         items.append((i, xn, xd, *bound))
-    lo = draw(st.integers(1, 300))
-    return items, lo, draw(st.integers(lo - 1, lo + 400))
+    return items, lo, hi
 
 
 @settings(max_examples=400, deadline=None)
