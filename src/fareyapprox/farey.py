@@ -11,6 +11,13 @@ lower end and stopped at the upper end.  The CLI prints those pairs as
 they are, :func:`verify_farey_properties` checks them, and
 ``farey_sequence`` wraps them in ``Fraction``s only at the library
 boundary.
+
+The Stern-Brocot descent on a rational is the one kernel behind every
+bracket: :func:`_descent` starts its path and :func:`_deepen` takes its
+one batched step.  :func:`_bracket` reads the Farey bracket of any order
+off it, which serves ``farey_neighbors``, the seed of a listing and the
+composition heuristic, and the scans of :mod:`fareyapprox.simultaneous`
+bisect the same path by residue.
 """
 
 from __future__ import annotations
@@ -95,18 +102,69 @@ class PropertyReport:
         return all(check.passed for _, check in self.checks())
 
 
+def _descent(xn: int, xd: int) -> list[tuple[int, int, int, int, int]]:
+    """The root of the Stern-Brocot descent on xn/xd, as a path for :func:`_deepen`.
+
+    A level is (-min(u, v), q1, u, q2, v): q1 is the first q >= 1 whose
+    residue xn*q mod xd moves forward by u, q2 the first whose residue
+    moves back by v, so p1/q1 < xn/xd < p2/q2 with p1 = (xn*q1 - u)/xd and
+    p2 = (xn*q2 + v)/xd are the left and right endpoints of the descent
+    (one-sided best approximations).  The root is q1 = q2 = 1, the
+    integers on either side of xn/xd.  The key -min(u, v) does not
+    decrease along the path, so the path can be bisected by it.
+    """
+    u = xn % xd
+    return [(-min(u, xd - u), 1, u, 1, xd - u)]
+
+
+def _deepen(path: list[tuple[int, int, int, int, int]]) -> None:
+    # The one batched Stern-Brocot step: the larger of u and v drops below
+    # the smaller, by as many steps of the smaller as keep it >= 1.  u == v
+    # happens only at u = v = 1, next to xn/xd itself, whose one step goes
+    # to q1 = q2 = xd with u = v = 0, the end of the path.
+    _, q1, u, q2, v = path[-1]
+    if u > v:
+        j = (u - 1) // v
+        q1, u = q1 + j * q2, u - j * v
+    elif v > u:
+        j = (v - 1) // u
+        q2, v = q2 + j * q1, v - j * u
+    else:
+        q1 = q2 = q1 + q2
+        u = v = 0
+    path.append((-min(u, v), q1, u, q2, v))
+
+
+def _bracket(xn: int, xd: int, order: int) -> tuple[int, int, int, int]:
+    # (q1, u, q2, v) of the consecutive terms of F_order on either side of
+    # xn/xd, shifted by floor(xn/xd), for xd > order.  The descent goes
+    # on while q1 + q2 <= order; from the last level within the order
+    # (the root at order 1) one more step, capped so that no q exceeds
+    # the order, reaches the bracket.
+    path = _descent(xn, xd)
+    while path[-1][1] + path[-1][3] <= order:
+        _deepen(path)
+    _, q1, u, q2, v = path[-2] if len(path) > 1 else path[0]
+    if u > v:
+        j = min((u - 1) // v, (order - q1) // q2)
+        q1, u = q1 + j * q2, u - j * v
+    elif v > u:
+        j = min((v - 1) // u, (order - q2) // q1)
+        q2, v = q2 + j * q1, v - j * u
+    return q1, u, q2, v
+
+
 def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
     # A seed a/b, c/d for _farey_pairs whose c/d is the first term >= lo of
     # F_order, for 0 < lo <= 1.
-    found = farey_neighbors(lo, order)
-    if isinstance(found, FareyPair):
-        left, right = found.left, found.right
-        return left.numerator, left.denominator, right.numerator, right.denominator
+    h, k = lo.numerator, lo.denominator
+    if k > order:
+        q1, u, q2, v = _bracket(h, k, order)
+        return (h * q1 - u) // k, q1, (h * q2 + v) // k, q2
     # lo = h/k is a term.  Take a, b with h*b - k*a = 1 and 0 <= b < k: the
     # predecessor of h/k is (a + t*h)/(b + t*k) for some t >= 0, and the
     # recurrence steps from either to the same next term (its multiplier
     # (order + b) // k grows by t, which cancels).
-    h, k = found.value.numerator, found.value.denominator
     b = pow(h, -1, k)
     return (h * b - 1) // k, b, h, k
 
@@ -154,10 +212,10 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
     """Bracket x in [0, 1] between consecutive elements of F_order.
 
     Members of F_order are reported as an :class:`ExactHit`; otherwise the
-    unique consecutive pair with left < x < right is found by mediant
-    descent through the Stern-Brocot tree.  Runs of descent steps toward
-    one side are taken in a single batch, so the cost is logarithmic
-    rather than linear in the order.
+    unique consecutive pair with left < x < right is read off the
+    Stern-Brocot descent on x.  Runs of descent steps toward one side are
+    taken in a single batch, so the cost is logarithmic rather than
+    linear in the order.
     """
     _require_order(order)
     x = Fraction(x)
@@ -166,24 +224,8 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
     if x.denominator <= order:
         return ExactHit(x, order)
     xn, xd = x.numerator, x.denominator
-    a, b, c, d = 0, 1, 1, 1
-    while b + d <= order:
-        if xn * (b + d) < xd * (a + c):
-            # x below the mediant: the next j right-folds replace c/d by
-            # (j*a + c)/(j*b + d); j is capped by the crossing point of x
-            # and by the order.
-            num = c * xd - xn * d
-            den = xn * b - a * xd
-            j = min((num - 1) // den, (order - d) // b)
-            c, d = j * a + c, j * b + d
-        else:
-            # x above the mediant (equality is impossible: x is not in
-            # F_order but every mediant reached here is).
-            num = xn * b - a * xd
-            den = c * xd - xn * d
-            j = min((num - 1) // den, (order - b) // d)
-            a, b = a + j * c, b + j * d
-    return FareyPair(Fraction(a, b), Fraction(c, d), order)
+    q1, u, q2, v = _bracket(xn, xd, order)
+    return FareyPair(Fraction((xn * q1 - u) // xd, q1), Fraction((xn * q2 + v) // xd, q2), order)
 
 
 def verify_farey_properties(order: int) -> PropertyReport:

@@ -28,10 +28,12 @@ theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 :func:`_window_hits` steps from one such q to the next in a few integer
 operations, with a window that contains every q the exact test can
 accept.  The gaps of a doubling block of q are read off the Stern-Brocot
-descent on the pivot: a scan builds that descent once, as deep as its
-narrowest window needs, and each block bisects it, so a sweep descends
-the pivot once for all its points.  :func:`_first_fit`, the one scan of
-the oracle, the sweep and the baseline, puts each q it yields through
+descent on the pivot, the one descent of the package (farey._descent and
+farey._deepen, which compose_solve's Farey brackets are read off too):
+a scan builds that descent once, as deep as its narrowest window needs,
+and each block bisects it, so a sweep descends the pivot once for all
+its points.  :func:`_first_fit`, the one scan of the oracle, the sweep
+and the baseline, puts each q it yields through
 the exact integer test of every item, so the answers are those of a full
 scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
 remainder per item until an item rejects it, and the numerators are
@@ -53,7 +55,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
-from .farey import ExactHit, farey_neighbors
+from .farey import _bracket, _deepen, _descent
 from .rationals import _PRINT_LIMIT
 
 #: Default cap on exhaustive denominator scans.
@@ -256,50 +258,21 @@ def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
     return j
 
 
-def _descent(xn: int, xd: int) -> list[tuple[int, int, int, int, int]]:
-    """The root of the Stern-Brocot descent on xn/xd, as a path for :func:`_steps`.
-
-    A level is (-min(u, v), q1, u, q2, v): q1 is the first q >= 1 whose
-    residue xn*q mod xd moves forward by u, q2 the first whose residue
-    moves back by v, so q1 and q2 are the left and right endpoints of the
-    descent (one-sided best approximations).  The root is q1 = q2 = 1.
-    The key -min(u, v) does not decrease along the path, so the path can
-    be bisected by it.
-    """
-    u = xn % xd
-    return [(-min(u, xd - u), 1, u, 1, xd - u)]
-
-
 def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int, int, int]:
     """(q1, u, q2, v) of the first level of the descent with u < w and v < w.
 
-    The descent steps in batches as in farey.farey_neighbors: at each
-    level the larger of u and v drops below the smaller, by as many steps
-    of the smaller as keep it >= 1.  u == v happens only at u = v = 1,
-    next to xn/xd itself, whose one step goes to q1 = q2 = xd with
+    Each step of the descent (farey._deepen) takes the larger of u and v
+    below the smaller, and its last step goes to q1 = q2 = xd with
     u = v = 0 (for w = 1 the hits are the multiples of xd).  So levels
     whose smaller residue is >= w are passed whole, and the first level
     whose smaller residue is < w needs at most one partial step: the
     fewest steps of the smaller that take the larger below w.  ``path``
-    (from :func:`_descent`) keeps the levels found so far and is extended
+    (from farey._descent) keeps the levels found so far and is extended
     in place only as deep as w needs, so the callers that walk one target
     with many windows take each level's step once.
     """
-    if path[-1][0] <= -w:
-        _, q1, u, q2, v = path[-1]
-        while True:
-            if u > v:
-                j = (u - 1) // v
-                q1, u = q1 + j * q2, u - j * v
-            elif v > u:
-                j = (v - 1) // u
-                q2, v = q2 + j * q1, v - j * u
-            else:
-                q1 = q2 = q1 + q2
-                u = v = 0
-            path.append((-min(u, v), q1, u, q2, v))
-            if u < w or v < w:
-                break
+    while path[-1][0] <= -w:
+        _deepen(path)
     # The key -min(u, v) of the first level with min(u, v) < w is >= 1 - w,
     # and a longer tuple sorts after its prefix (1 - w,).
     _, q1, u, q2, v = path[bisect_left(path, (1 - w,))]
@@ -320,7 +293,7 @@ def _window_hits(
     a: int,
     c: int,
     den: int,
-    path: list[tuple[int, int, int, int, int]] | None = None,
+    path: list[tuple[int, int, int, int, int]],
 ) -> Iterator[int]:
     """Yield, ascending, every q in lo..hi with xd * ||q*xn/xd|| <= C.
 
@@ -335,14 +308,12 @@ def _window_hits(
     one).  It carries into each later block the last hit of the blocks
     before.  Once the window covers all residues, q runs through the rest
     of the range one by one.  Each block reads its steps off ``path``,
-    the descent on xn/xd that a caller walking xn/xd more than once
-    passes to every walk; without one the walk starts its own.
+    the descent on xn/xd (farey._descent), which a caller walking xn/xd
+    more than once passes to every walk.
     """
     lo = max(lo, 1)
     if lo > hi:
         return
-    if path is None:
-        path = _descent(xn, xd)
     q, k = None, lo.bit_length() - 1
     while 1 << k <= hi:
         first, last = max(lo, 1 << k), min((2 << k) - 1, hi)
@@ -380,7 +351,7 @@ def _first_fit(
     items: Sequence[tuple[int, int, int, int, int, int]],
     lo: int,
     hi: int,
-    path: list[tuple[int, int, int, int, int]] | None = None,
+    path: list[tuple[int, int, int, int, int]],
 ) -> tuple[int, tuple[int, ...]] | None:
     """Smallest q in lo..hi whose nearest numerators fit every item, or None.
 
@@ -391,8 +362,8 @@ def _first_fit(
     :func:`_window_hits` yields for the last item's (a, c, den), whose
     half-width (a*b + c) // den on the block ending at b holds every
     q <= b that fits that item, so no fit is missed.  The walk is lazy,
-    so it starts only if lo fails; ``path``, if given, is the last item's
-    descent from :func:`_descent`, shared with the caller's other walks.
+    so it starts only if lo fails; ``path`` is the last item's descent
+    (farey._descent), shared with the caller's other walks.
 
     The test needs d only, and d is the remainder r = xn*q mod xd or
     xd - r, whichever is smaller (a tie gives the same d either way).
@@ -529,17 +500,15 @@ def brute_force_solve(
 
 def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
     # Nearest endpoint of the Farey bracketing of frac(y) at the given
-    # order, shifted back by floor(y); ties go to the smaller value.
-    n = math.floor(y)
-    f = y - n
-    found = farey_neighbors(f, order)
-    if isinstance(found, ExactHit):
-        p, q = found.value.numerator, found.value.denominator
-    elif f - found.left <= found.right - f:
-        p, q = found.left.numerator, found.left.denominator
-    else:
-        p, q = found.right.numerator, found.right.denominator
-    return n * q + p, q
+    # order, shifted back by floor(y); ties go to the smaller value.  The
+    # endpoints lie u/(yd*q1) below y and v/(yd*q2) above it.
+    yn, yd = y.numerator, y.denominator
+    if yd <= order:
+        return yn, yd
+    q1, u, q2, v = _bracket(yn, yd, order)
+    if u * q2 <= v * q1:
+        return (yn * q1 - u) // yd, q1
+    return (yn * q2 + v) // yd, q2
 
 
 def compose_solve(cs: ConstraintSet, epsilon: Fraction) -> Solution:
@@ -611,7 +580,7 @@ def dirichlet_solve(
         )
     # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||.
     items = [(i, x.numerator, x.denominator, 0, x.denominator, T) for i, x in enumerate(xs)]
-    fit = _first_fit(items, 1, q_max)
+    fit = _first_fit(items, 1, q_max, _descent(xs[-1].numerator, xs[-1].denominator))
     if fit is not None:
         q, ps = fit
         return Solution(q, ps, _exact_errors(xs, q, ps), Fraction(1, T), "dirichlet")

@@ -1,7 +1,8 @@
-"""Farey pairs and exhaustive reference checks for mediant subdivision,
-shared by the unit tests and the acceptance suite (pytest puts this
-directory on sys.path)."""
+"""Farey pairs, a reference Farey bracket and exhaustive reference checks
+for mediant subdivision, shared by the unit tests and the acceptance suite
+(pytest puts this directory on sys.path)."""
 
+import math
 from fractions import Fraction as F
 from functools import cache
 
@@ -55,3 +56,36 @@ def subdivision_failures(points, base, gap_bound, denom_bound):
         ("denominator bound violated", all(p.denominator <= denom_bound for p in points)),
     )
     return [name for name, ok in checks if not ok]
+
+
+def mediant_bracket(x, order):
+    # The consecutive terms a/b < x < c/d of F_order, for x in (0, 1) whose
+    # denominator exceeds the order, by the order-capped mediant loop that
+    # farey_neighbors ran before it read its pair off the shared descent.
+    xn, xd = x.numerator, x.denominator
+    a, b, c, d = 0, 1, 1, 1
+    while b + d <= order:
+        if xn * (b + d) < xd * (a + c):
+            num = c * xd - xn * d
+            den = xn * b - a * xd
+            j = min((num - 1) // den, (order - d) // b)
+            c, d = j * a + c, j * b + d
+        else:
+            num = xn * b - a * xd
+            den = c * xd - xn * d
+            j = min((num - 1) // den, (order - b) // d)
+            a, b = a + j * c, b + j * d
+    return a, b, c, d
+
+
+def best_at_order(y, order):
+    # compose's nearer Farey endpoint of frac(y) in Fraction arithmetic,
+    # ties to the left one, shifted back by floor(y).
+    n = math.floor(y)
+    f = y - n
+    if f.denominator <= order:
+        p, q = f.numerator, f.denominator
+    else:
+        a, b, c, d = mediant_bracket(f, order)
+        p, q = (a, b) if f - F(a, b) <= F(c, d) - f else (c, d)
+    return n * q + p, q

@@ -869,7 +869,7 @@ def test_selftest_catches_an_oracle_scanning_past_its_range(capsys, monkeypatch)
 def test_selftest_catches_a_sweep_skipping_the_previous_witness(capsys, monkeypatch):
     first_fit = simultaneous._first_fit
 
-    def skip_start(items, lo, hi, path=None):
+    def skip_start(items, lo, hi, path):
         # Only a sweep starts above q = 1.
         return first_fit(items, lo + 1 if lo > 1 else lo, hi, path)
 

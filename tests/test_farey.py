@@ -17,7 +17,9 @@ from fareyapprox import (
     farey_sequence,
     verify_farey_properties,
 )
+from fareyapprox import farey, simultaneous
 from fareyapprox.farey import _farey_pairs
+from oracles import best_at_order, mediant_bracket
 
 
 def enumerate_farey(order):
@@ -191,6 +193,49 @@ def test_farey_neighbors_random_queries_large_order():
         kl, kr = found.left.denominator, found.right.denominator
         assert kl <= order and kr <= order and kl + kr > order
         assert kl * found.right.numerator - found.left.numerator * kr == 1
+
+
+@st.composite
+def bracket_queries(draw):
+    # x in [0, 1] with a denominator up to 10**15 or a 20- to 60-digit
+    # decimal; orders 1 and 2, xd - 1 (the largest without x in F_order),
+    # xd (x a member), and any up to 10**12; integer shifts of x, negative
+    # ones included, for compose's nearer endpoint.
+    x = draw(st.one_of(
+        st.integers(1, 10**15).flatmap(lambda xd: st.builds(F, st.integers(0, xd), st.just(xd))),
+        st.integers(20, 60).flatmap(
+            lambda digits: st.builds(F, st.integers(0, 10**digits), st.just(10**digits))
+        ),
+    ))
+    xd = x.denominator
+    order = draw(st.one_of(st.sampled_from([1, 2, max(xd - 1, 1), xd]), st.integers(1, 10**12)))
+    shift = draw(st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20)))
+    return x, order, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_queries())
+@example((F(5, 12), 3, 0))
+@example((F(1, 2), 1, -1))
+def test_brackets_read_off_the_descent_equal_the_mediant_loop(case):
+    # farey_neighbors, the seed of a listing from x and compose's nearer
+    # endpoint all read the Farey bracket off one Stern-Brocot path; each
+    # must give what the order-capped mediant loop gives.
+    x, order, shift = case
+    found = farey_neighbors(x, order)
+    if x.denominator <= order:
+        assert found == ExactHit(x, order)
+        if x > 0:
+            # The seed of a member h/k is a/b, h/k with h*b - k*a = 1 and
+            # 0 <= b < k, from which the next-term recurrence goes on.
+            a, b, h, k = farey._seed_below(x, order)
+            assert (F(h, k), h * b - k * a) == (x, 1) and 0 <= b < k
+    else:
+        a, b, c, d = mediant_bracket(x, order)
+        assert found == FareyPair(F(a, b), F(c, d), order)
+        assert farey._seed_below(x, order) == (a, b, c, d)
+    y = x + shift
+    assert simultaneous._best_at_order(y, order) == best_at_order(y, order)
 
 
 def test_verify_properties_order_5():

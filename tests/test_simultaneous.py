@@ -252,6 +252,13 @@ def test_compose_two_stage_product():
     assert not check_solution(cs((F(1, 3), F(1)), (F(1, 7), F(1))), F(1, 10), sol.q, sol.ps).overall
 
 
+@pytest.mark.parametrize("y, expected", [(F(5, 12), (1, 3)), (F(89, 12), (22, 3)), (F(-7, 12), (-2, 3))])
+def test_compose_stage_tie_goes_to_the_smaller_end(y, expected):
+    # frac(y) = 5/12 lies midway between 1/3 and 1/2, its neighbours in
+    # F_3, so each stage takes the smaller end, shifted back by floor(y).
+    assert simultaneous._best_at_order(y, 3) == expected
+
+
 def test_compose_standin_bracketing():
     c = cs((SQRT2_50, F(1)),)
     sol = compose_solve(c, F(1, 100))
@@ -376,7 +383,8 @@ def linear_hits(xn, xd, lo, hi, a, c, den):
 def test_window_hits_equal_linear_filter(walk):
     xn, xd, lo, hi, (a, c, den) = walk
     expected = linear_hits(xn, xd, lo, hi, a, c, den)
-    assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den)) == expected
+    path = simultaneous._descent(xn, xd)
+    assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den, path)) == expected
 
 
 def per_block_steps(xn, xd, w):
@@ -507,7 +515,8 @@ def test_first_fit_equals_linear_scan(scan):
         if all(abs(xn * q - ps[i] * xd) * den <= a * q + c for i, xn, xd, a, c, den in items):
             expected = q, tuple(ps[i] for i in range(len(items)))
             break
-    assert simultaneous._first_fit(items, lo, hi) == expected
+    _, xn, xd, *_ = items[-1]
+    assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -532,9 +541,10 @@ def test_window_walk_starts_at_lo():
     lo, hi = 10**12, 10**12 + 20_000
     script = (
         "from fareyapprox import parse_real\n"
-        "from fareyapprox.simultaneous import _window_hits\n"
+        "from fareyapprox.simultaneous import _descent, _window_hits\n"
         "x = parse_real('sqrt2', 5000) - 1\n"
-        f"print(*_window_hits(x.numerator, x.denominator, {lo}, {hi}, 0, x.denominator, 1000))\n"
+        "xn, xd = x.numerator, x.denominator\n"
+        f"print(*_window_hits(xn, xd, {lo}, {hi}, 0, xd, 1000, _descent(xn, xd)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
