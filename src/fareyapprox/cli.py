@@ -67,7 +67,10 @@ def _max_scan() -> int:
 
 
 def _read_constraints(path: str, precision: int) -> ConstraintSet:
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     items = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -140,18 +143,6 @@ def _parse_positive(text: str, name: str) -> Fraction:
     return value
 
 
-def _int_nth_root(x: int, n: int) -> int:
-    # floor(x ** (1/n)) by integer Newton iteration, for x >= 0, n >= 1.
-    if x < 2 or n == 1:
-        return x
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
 def _build_grid(args) -> tuple[Fraction, ...]:
     if args.grid is not None:
         points = tuple(_parse_positive(part, "epsilon") for part in args.grid.split(","))
@@ -166,12 +157,20 @@ def _build_grid(args) -> tuple[Fraction, ...]:
         if count > _MAX_POINTS:
             raise InvalidInputError(f"--points is capped at {_MAX_POINTS}")
         if args.geometric:
-            # Exact-rational ratio approximating (bottom/top)**(1/(count-1));
-            # endpoints are kept exact.
+            # Exact-rational ratio root/scale approximating (bottom/top)**(1/m),
+            # m = count - 1: root is the largest integer with
+            # (root/scale)**m <= bottom/top.  As bottom/top < 1, root is below
+            # scale < 2**80, so bisection fixes it one bit at a time from the
+            # top, in 80 exact comparisons whatever m is.  Endpoints are kept
+            # exact.
             scale = 10**24
             lam = bottom / top
             m = count - 1
-            root = _int_nth_root(lam.numerator * scale**m // lam.denominator, m)
+            bound = lam.numerator * scale**m
+            root = 0
+            for bit in reversed(range(scale.bit_length())):
+                if (root | 1 << bit) ** m * lam.denominator <= bound:
+                    root |= 1 << bit
             if root < 1:
                 raise InvalidInputError("geometric grid too extreme for the fixed ratio scale")
             ratio = Fraction(root, scale)

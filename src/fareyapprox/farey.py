@@ -53,7 +53,8 @@ class FareyPair:
         _require_order(self.order)
         a, b = self.left.numerator, self.left.denominator
         c, d = self.right.numerator, self.right.denominator
-        if not (0 <= self.left < self.right <= 1):
+        # 0 <= left < right <= 1, in integers: b and d are positive.
+        if not (0 <= a * d < b * c <= b * d):
             raise InvalidInputError(f"not an ordered pair in [0, 1]: {self._ends()}")
         if b > self.order or d > self.order:
             raise InvalidInputError(f"denominators exceed order {self.order}: {self._ends()}")

@@ -222,11 +222,12 @@ def _exact_errors(xs: Sequence[Fraction], q: int, ps: Sequence[int]) -> tuple[Fr
 
 
 def _count_text(count: int) -> str:
-    # A count for a message: in decimal below str()'s default limit of 4300
-    # digits, else by its size, as a lower bound.
-    if count < _PRINT_LIMIT:
+    # A count for a message: in decimal if str() prints it under the digit
+    # limit in force, else by its size, as a lower bound.
+    try:
         return str(count)
-    return f"2**{count.bit_length() - 1} or more"
+    except ValueError:
+        return f"2**{count.bit_length() - 1} or more"
 
 
 def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
@@ -565,15 +566,16 @@ def dirichlet_solve(
         raise InvalidInputError("T must be an integer >= 2")
     _check_budget(max_scan)
     # T**n >= 2**k.  Once k reaches the bit lengths of both max_scan + 1 and
-    # the print limit, T**n - 1 is past the budget and too long to print,
-    # so 2**k - 1 stands in for it: the power takes seconds for a long T
-    # and many targets.  Otherwise k is small or the budget is huge, and
-    # T**n < 4**k (as n <= k) costs little next to either.
+    # the print limit, T**n - 1 is past the budget and too long to print, so
+    # the message gives its size without taking the power, which takes
+    # seconds for a long T and many targets.  Otherwise k is small or the
+    # budget is huge, and T**n < 4**k (as n <= k) costs little next to either.
     k = len(xs) * (T.bit_length() - 1)
     if k >= max((max_scan + 1).bit_length(), _PRINT_LIMIT.bit_length()):
-        q_max = (1 << k) - 1
-    else:
-        q_max = T ** len(xs) - 1
+        raise BudgetExceededError(
+            f"T**n - 1 = 2**{k - 1} or more exceeds scan budget {_count_text(max_scan)}"
+        )
+    q_max = T ** len(xs) - 1
     if q_max > max_scan:
         raise BudgetExceededError(
             f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"

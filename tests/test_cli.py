@@ -517,6 +517,15 @@ def test_constraint_file_with_utf8_bom(tmp_path, capsys):
     assert invoke(capsys, [*argv, str(bom)]) == expected
 
 
+def test_constraint_file_not_utf8(tmp_path, capsys):
+    # UTF-16 with its byte-order mark: rejected as input, not a traceback.
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + "1/2 1\n".encode("utf-16-le"))
+    assert invoke(capsys, ["solve", "--input", str(path), "--epsilon", "1/2"]) == (
+        1, "", f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    )
+
+
 def test_constraint_file_with_signed_constants(tmp_path, capsys):
     argv = ["solve", "--epsilon", "1/100", "--input"]
     code_p, out_p, _ = invoke(capsys, [*argv, write(tmp_path, "p.txt", "sqrt2 1\npi 1/2\n")])
@@ -601,6 +610,33 @@ def no_digit_limit():
             sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_budget_messages_under_any_digit_limit(tmp_path, capsys):
+    # A count str() refuses under the limit in force is given by its size.
+    # The Dirichlet bound T**n - 1 is never taken for 8 targets and a T of
+    # 601 digits, so its message is the same lower bound whatever the limit.
+    path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
+    solve = ["solve", "--input", path, "--epsilon", "1e-1000"]
+    dirichlet = ["dirichlet", "--input", write(tmp_path, "eight.txt", "sqrt2 1\n" * 8),
+                 "--T", "1" + "0" * 600]
+    bound = (1, "", "budget exceeded: T**n - 1 = 2**15943 or more exceeds scan budget 10000000\n")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert invoke(capsys, solve) == (
+            1, "", "budget exceeded: scan budget exhausted after 10000000 of 2**3321 or more "
+            "denominators\n"
+        )
+        assert invoke(capsys, dirichlet) == bound
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert invoke(capsys, dirichlet) == bound
+    with no_digit_limit():
+        assert invoke(capsys, dirichlet) == bound
+
+
 _LONG_FILES = {"sqrt2.txt": "sqrt2 1\n", "sqrt3.txt": "sqrt3 1\n", "zero.txt": "0 1\n",
                "huge.txt": "1e9000 1\n"}
 
@@ -663,6 +699,68 @@ def test_geometric_grid_stops_where_str_would(tmp_path, capsys):
             1, "", f"error: geometric grid point {at} has too many digits to print; "
             "use fewer --points\n"
         )
+
+
+@st.composite
+def geometric_spans(draw):
+    # eps_max, eps_min and a point count; the ratio eps_min/eps_max is drawn
+    # anywhere in (0, 1), or within a few parts in 10**6 of 1.
+    top = F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    den = draw(st.integers(2, 10**30))
+    near_one = draw(st.booleans())
+    num = max(1, den - draw(st.integers(1, 3))) if near_one else draw(st.integers(1, den - 1))
+    return top, top * F(num, den), draw(st.integers(2, 170))
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometric_spans())
+@example((F(1), F(1, 10**30), 2))  # the ratio 10**-30 is below the scale: too extreme
+@example((F(1, 2), F(1, 3), 2))  # count 2: the grid is the two ends
+@example((F(1, 2), F(1, 8), 3))  # (root/10**24)**2 == 1/4 exactly: root = 5 * 10**23
+@example((F(1), F(25 * 10**46 - 1, 10**48), 3))  # just below that square: 5 * 10**23 - 1
+@example((F(1), F(999_999, 1_000_000), 170))  # a ratio near 1 at the largest count drawn
+def test_geometric_ratio_is_the_floor_root(span):
+    # The grid's ratio is root/10**24 for the largest root with
+    # root**m * lam.denominator <= lam.numerator * 10**(24m), lam = eps_min/eps_max.
+    top, bottom, count = span
+    args = argparse.Namespace(
+        grid=None, eps_max=format_rational(top), eps_min=format_rational(bottom), points=count,
+        geometric=True,
+    )
+    lam, m, scale = bottom / top, count - 1, 10**24
+    bound = lam.numerator * scale**m
+    try:
+        points = cli._build_grid(args)
+    except InvalidInputError as exc:
+        assert str(exc) == "geometric grid too extreme for the fixed ratio scale"
+        assert lam.denominator > bound
+        return
+    assert points[0] == top and points[-1] == bottom and len(points) == count
+    assert lam.denominator <= bound  # root >= 1
+    if count == 2:
+        return
+    ratio = points[1] / top
+    assert scale % ratio.denominator == 0
+    root = ratio.numerator * (scale // ratio.denominator)
+    assert root**m * lam.denominator <= bound < (root + 1) ** m * lam.denominator
+
+
+def test_geometric_grid_at_the_point_cap_fails_fast(tmp_path):
+    # The ratio for 10,000 points is found in 80 comparisons, so the run
+    # reaches the grid's digit check in about a second.
+    path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fareyapprox", "sweep", "--input", path, "--eps-max", "1/2",
+         "--eps-min", "1/3", "--points", "10000", "--geometric"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: geometric grid point 188 has too many digits to print; use fewer --points\n"
+    )
 
 
 def test_usage_errors(capsys):
@@ -1038,13 +1136,15 @@ def cli_calls(draw):
 @settings(max_examples=300, deadline=5000)
 @given(call=cli_calls())
 @example(call=(["neighbors", "--order", "3", "--x=--"], ""))  # argparse made --x=-- a list
+@example(call=(["solve", "--input", "--epsilon", "1/2"], b"\xff\xfe1/2 1"))  # not UTF-8
 def test_cli_fuzz_exits_cleanly(tmp_path_factory, call):
     # Every argv and constraint file ends in exit 0, 1 or 2 with no
     # exception escaping.  Orders, --precision and the other integers stay
     # at most 200 and the scan budget at 20000, so each example is quick.
+    # A file given as bytes is written as it is.
     argv, text = call
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     argv = [f"--input={path}" if a == "--input" else a for a in argv]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("FAREY_APPROX_MAX_SCAN", "20000")

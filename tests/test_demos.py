@@ -15,9 +15,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo):
+    # Exit 0, nothing on stderr, and stdout equal to the committed text in
+    # tests/demo_output/, line for line.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert proc.stdout == (ROOT / "tests" / "demo_output" / f"{demo.stem}.txt").read_text()

@@ -107,14 +107,17 @@ def test_adjacent_pairs_unimodular_and_denominator_sum():
 def test_farey_pair_validation():
     FareyPair(F(0), F(1), 1)
     FareyPair(F(2, 7), F(1, 3), 7)
-    with pytest.raises(InvalidInputError):
-        FareyPair(F(1, 3), F(2, 7), 7)  # not ordered
-    with pytest.raises(InvalidInputError):
-        FareyPair(F(1, 5), F(1, 2), 5)  # not unimodular
-    with pytest.raises(InvalidInputError):
-        FareyPair(F(0), F(1), 2)  # 1/2 lies between
-    with pytest.raises(InvalidInputError):
-        FareyPair(F(1, 8), F(1, 7), 5)  # denominators exceed order
+    for left, right, order, message in [
+        (F(1, 3), F(2, 7), 7, r"^not an ordered pair in \[0, 1\]: 1/3, 2/7$"),  # reversed
+        (F(1, 3), F(1, 3), 7, r"^not an ordered pair in \[0, 1\]: 1/3, 1/3$"),  # equal
+        (F(-1, 2), F(0), 2, r"^not an ordered pair in \[0, 1\]: -1/2, 0$"),  # below 0
+        (F(1), F(3, 2), 2, r"^not an ordered pair in \[0, 1\]: 1, 3/2$"),  # above 1
+        (F(1, 8), F(1, 7), 5, r"^denominators exceed order 5: 1/8, 1/7$"),
+        (F(1, 5), F(1, 2), 5, r"^pair is not unimodular: 1/5, 1/2$"),
+        (F(0), F(1), 2, r"^pair is not consecutive in F_2: 0, 1$"),  # 1/2 lies between
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
+            FareyPair(left, right, order)
 
 
 def test_farey_next_examples():
