@@ -12,7 +12,8 @@ def record(cls: type) -> type:
     """Make ``cls`` an immutable record of the fields annotated on it.
 
     ``__init__`` takes the fields in their order, by position or by name;
-    a class attribute of the same name is the field's default.  It then
+    a class attribute of the same name is the field's default, and a field
+    with a default before one without is a ``SyntaxError``.  It then
     calls ``__post_init__``, if the class has one (which may set a field
     with ``object.__setattr__``).  Records are equal when their classes
     and fields are, hash by their fields, print as ``Name(field=value,
@@ -22,23 +23,15 @@ def record(cls: type) -> type:
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
-
-    def __init__(self, *args, **kwargs):
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
-        values = dict(zip(fields, args))
-        for name, value in kwargs.items():
-            if name not in fields or name in values:
-                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
-            values[name] = value
-        for name in fields:
-            if name not in values:
-                if name not in defaults:
-                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-                values[name] = defaults[name]
-        self.__dict__.update(values)
-        if post_init is not None:
-            post_init(self)
+    # Python binds the arguments of this generated __init__ itself, as for a
+    # dataclass; its source holds only the class's own field names.
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in fields)
+    body = f"self.__dict__.update({', '.join(f'{name}={name}' for name in fields)})"
+    if post_init is not None:
+        body += "; _post_init(self)"
+    namespace = {"_defaults": defaults, "_post_init": post_init, "__name__": cls.__module__}
+    exec(f"def __init__(self, {params}):\n    {body}\n", namespace)
+    __init__ = namespace["__init__"]
 
     def values(self):
         return tuple(getattr(self, name) for name in fields)

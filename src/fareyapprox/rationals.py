@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -47,6 +48,8 @@ _SQUARE_ROOTS = {"sqrt2": 2, "sqrt3": 3, "sqrt5": 5}
 _SCALED_FLOORS: dict[str, tuple[int, int]] = {}
 # The exponent as Fraction reads it, digit groups joined by "_" included.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+# A run of digits, with the "_" that Fraction skips in it.
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 # The smallest int that str() refuses at its default limit of 4300 digits.
 _PRINT_LIMIT = 10**4300
 
@@ -59,10 +62,7 @@ def nearest_int_distance(x: Fraction) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Canonical text form "num/den" with den > 0, e.g. "-1/3", "0/1"."""
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def _int_text(n: int) -> str:
@@ -122,6 +122,14 @@ def parse_rational(text: str) -> Fraction:
     except ZeroDivisionError:
         raise InvalidInputError(f"zero denominator in {text!r}") from None
     except ValueError:
+        # int() refuses a run of more digits than the interpreter's limit
+        # (PYTHONINTMAXSTRDIGITS), which may be set below MAX_LITERAL_DIGITS.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(s)):
+            raise InvalidInputError(
+                f"literal {s[:20]!r}... has a number of more than {limit} digits, "
+                "the interpreter's limit (PYTHONINTMAXSTRDIGITS)"
+            ) from None
         raise InvalidInputError(f"cannot parse {text!r} as a rational") from None
 
 

@@ -369,6 +369,10 @@ def test_solve_malformed_input(tmp_path, capsys):
     code, out, err = invoke(capsys, ["solve", "--input", path, "--epsilon", "1/8"])
     assert code == 1 and out == ""
     assert ":2:" in err  # line number reported
+    good = write(tmp_path, "good.txt", "1/2 1\n")
+    assert invoke(capsys, ["solve", "--input", good, "--epsilon", " "]) == (
+        1, "", "error: empty rational literal\n"
+    )
 
 
 def test_solve_missing_file(capsys):
@@ -476,6 +480,10 @@ def test_sweep_grid_validation(tmp_path, capsys):
         ["sweep", "--input", path, "--eps-max", "1/2", "--eps-min", "1/8", "--points", "10001"],
     )
     assert code == 1 and out == "" and "capped" in err
+    assert invoke(
+        capsys,
+        ["sweep", "--input", path, "--eps-max", "1/2", "--eps-min", "1/2", "--points", "3"],
+    ) == (1, "", "error: need --points >= 2 and --eps-min < --eps-max\n")
 
 
 @pytest.mark.skipif(
@@ -504,6 +512,10 @@ def test_comments_and_blank_lines(tmp_path, capsys):
     code, out, _ = invoke(capsys, ["solve", "--input", path, "--epsilon", "1/4"])
     assert code == 0
     assert json.loads(out)["q"] == 2
+    path = write(tmp_path, "only-comment.txt", "# nothing else\n")
+    assert invoke(capsys, ["solve", "--input", path, "--epsilon", "1/4"]) == (
+        1, "", f"error: {path}: no constraints found\n"
+    )
 
 
 def test_constraint_file_with_utf8_bom(tmp_path, capsys):
@@ -637,6 +649,31 @@ def test_budget_messages_under_any_digit_limit(tmp_path, capsys):
         assert invoke(capsys, dirichlet) == bound
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_literal_past_a_lowered_digit_limit_names_it(tmp_path, capsys):
+    # A literal within MAX_LITERAL_DIGITS but past the interpreter's limit
+    # is refused with that limit, wherever a literal is read.
+    long = "1/1" + "0" * 700
+    path = write(tmp_path, "long.txt", f"{long} 1\n")
+    short = write(tmp_path, "short.txt", "1/3 1\n")
+    message = ("literal '1/100000000000000000'... has a number of more than 640 digits, "
+               "the interpreter's limit (PYTHONINTMAXSTRDIGITS)\n")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, prefix in (
+            (["solve", "--input", short, "--epsilon", long], ""),
+            (["solve", "--input", path, "--epsilon", "1/10"], f"{path}:1: "),
+            (["neighbors", "--x", long, "--order", "5"], ""),
+            (["farey", "--order", "5", "--from", long], ""),
+        ):
+            assert invoke(capsys, argv) == (1, "", f"error: {prefix}{message}")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 _LONG_FILES = {"sqrt2.txt": "sqrt2 1\n", "sqrt3.txt": "sqrt3 1\n", "zero.txt": "0 1\n",
                "huge.txt": "1e9000 1\n"}
 
@@ -745,6 +782,18 @@ def test_geometric_ratio_is_the_floor_root(span):
     assert root**m * lam.denominator <= bound < (root + 1) ** m * lam.denominator
 
 
+def test_geometric_grid_of_halves_has_no_point_cap():
+    # With the ratio exactly 1/2 point k is 2**-k, under 3,011 digits for
+    # every k <= 10,000, so only the digit check may bound a geometric grid,
+    # never the count of points alone.
+    args = argparse.Namespace(
+        grid=None, eps_max="1", eps_min=f"1/{2**1999}", points=2000, geometric=True
+    )
+    points = cli._build_grid(args)
+    assert len(points) == 2000
+    assert all(b == a / 2 for a, b in pairwise(points))
+
+
 def test_geometric_grid_at_the_point_cap_fails_fast(tmp_path):
     # The ratio for 10,000 points is found in 80 comparisons, so the run
     # reaches the grid's digit check in about a second.
@@ -767,6 +816,9 @@ def test_usage_errors(capsys):
     assert invoke(capsys, [])[0] == 1
     assert invoke(capsys, ["farey"])[0] == 1  # missing --order
     assert invoke(capsys, ["farey", "--order", "5", "--bogus"])[0] == 1
+    assert invoke(capsys, ["farey", "--order", "0"]) == (
+        1, "", "error: Farey order must be a positive integer\n"
+    )
     assert invoke(capsys, ["nonsense"])[0] == 1
     assert invoke(capsys, ["--help"])[0] == 0
     assert invoke(capsys, ["farey", "-h"])[0] == 0

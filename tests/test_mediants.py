@@ -32,6 +32,8 @@ def test_descending_chain_examples():
     assert descending_chain(THIRD_HALF, 2) == (F(1, 2), F(2, 5), F(3, 8))
     five = FareyPair(F(0), F(1, 5), 5)
     assert descending_chain(five, 0) == (F(1, 5),)
+    with pytest.raises(InvalidInputError, match="^chain length must be a nonnegative integer$"):
+        descending_chain(five, -1)
 
 
 def test_ascending_chain_examples():

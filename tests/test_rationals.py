@@ -271,3 +271,7 @@ def test_int_text_prints_any_int_exactly(n):
     x = F(n, abs(n) + 7)
     assert format_rational(x) == f"{decimal.Decimal(x.numerator)}/{decimal.Decimal(x.denominator)}"
     assert rationals._fraction_text(F(n)) == str(decimal.Decimal(n))
+    m = abs(n) + 1
+    assert rationals._pair_lines([(n, m), (1, 2)]) == (
+        f"{rationals._int_text(n)}/{rationals._int_text(m)}\n1/2\n"
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 
 from fareyapprox._record import record
 from fareyapprox.errors import InvalidInputError
+from fareyapprox.farey import FareyPair
+from fareyapprox.simultaneous import Solution
 
 
 def make(decorator):
@@ -52,6 +55,23 @@ def test_record_matches_frozen_dataclass(args, kwargs):
 def test_record_rejects_bad_arguments(args, kwargs):
     with pytest.raises(TypeError):
         RecordPoint(*args, **kwargs)
+
+
+def test_record_init_has_the_fields_signature():
+    assert str(inspect.signature(Solution)) == (
+        "(q, ps, errors, epsilon, method, satisfies_constraints=None)"
+    )
+    assert str(inspect.signature(FareyPair)) == "(left, right, order)"
+    assert str(inspect.signature(RecordPoint)) == "(x, y, label=None)"
+    assert RecordPoint.__init__.__qualname__ == f"{RecordPoint.__qualname__}.__init__"
+    assert Solution.__init__.__module__ == "fareyapprox.simultaneous"
+
+    class Late:
+        x: int = 0
+        y: int
+
+    with pytest.raises(SyntaxError):  # as dataclasses refuse it, with TypeError
+        record(Late)
 
 
 def test_record_runs_post_init():
