@@ -136,6 +136,17 @@ def _json(value: object) -> object:
     return obj
 
 
+def _int_arg(text: str) -> int:
+    # argparse's own message for a bad int quotes the whole value, thousands
+    # of digits for one past the interpreter's limit; quote 20 characters of
+    # a long value, as parse_rational does.
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 def _parse_positive(text: str, name: str) -> Fraction:
     value = parse_rational(text)
     if value <= 0:
@@ -312,7 +323,7 @@ def _cmd_selftest(args) -> int:
 def _add_precision(sub) -> None:
     sub.add_argument(
         "--precision",
-        type=int,
+        type=_int_arg,
         default=DEFAULT_PRECISION,
         help="decimal digits kept for named constants (default %(default)s)",
     )
@@ -347,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("farey", help="list a Farey sequence, one fraction per line")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     p.add_argument("--from", dest="lo", default=None, help="smallest value to emit")
     p.add_argument("--to", dest="hi", default=None, help="largest value to emit")
     p.set_defaults(func=_cmd_farey)
@@ -358,17 +369,17 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="value in [0, 1] to bracket; every named constant exceeds 1, so names do not apply",
     )
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     _add_precision(p)
     p.set_defaults(func=_cmd_neighbors)
 
     p = subs.add_parser("subdivide", help="gap-bounded mediant subdivision of a Farey pair")
     p.add_argument("--lo", required=True)
     p.add_argument("--hi", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     p.add_argument("--gap", required=True, help="upper bound for consecutive gaps")
-    p.add_argument("--max-denom", type=int, default=None)
-    p.add_argument("--max-points", type=int, default=_MAX_POINTS)
+    p.add_argument("--max-denom", type=_int_arg, default=None)
+    p.add_argument("--max-points", type=_int_arg, default=_MAX_POINTS)
     _add_precision(p)
     p.set_defaults(func=_cmd_subdivide)
 
@@ -381,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dirichlet", help="classical pigeonhole baseline solver")
     p.add_argument("--input", required=True)
-    p.add_argument("--T", type=int, required=True)
+    p.add_argument("--T", type=_int_arg, required=True)
     _add_precision(p)
     p.set_defaults(func=_cmd_dirichlet)
 
@@ -390,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help='comma-separated rationals, e.g. "1/2,1/4,1/8"')
     p.add_argument("--eps-max", default=None)
     p.add_argument("--eps-min", default=None)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=_int_arg, default=None)
     p.add_argument("--geometric", action="store_true")
     p.add_argument("--csv", action="store_true", help="one row per grid point")
     _add_precision(p)
@@ -399,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compare", help="constrained solver vs. pigeonhole baseline")
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--T", type=int, required=True)
+    p.add_argument("--T", type=_int_arg, required=True)
     _add_precision(p)
     p.set_defaults(func=_cmd_compare)
 

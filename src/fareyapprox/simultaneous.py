@@ -32,17 +32,19 @@ descent on the pivot, the one descent of the package (farey._descent and
 farey._deepen, which compose_solve's Farey brackets are read off too):
 a scan builds that descent once, as deep as its narrowest window needs,
 and each block bisects it, so a sweep descends the pivot once for all
-its points.  :func:`_first_fit`, the one scan of the oracle, the sweep
-and the baseline, puts each q it yields through
-the exact integer test of every item, so the answers are those of a full
-scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
-remainder per item until an item rejects it, and the numerators are
-computed for the q returned only.  The first item tested, which rejects
-most q, compares that remainder with its own window on the q's doubling
-block before its exact bound, so most q cost a remainder and two
-compares.  A walk starts at the last hit below its lower end, which a
-Euclid-style descent finds in O(log xd) steps, so its cost does not grow
-with the q below its range.
+its points.  :func:`_plan` sets up every scan of the oracle, the sweep
+and the baseline: the items' integer parts in test order and the
+descent on the pivot.  :func:`_first_fit`, their one scan, puts each q
+it yields through the exact integer test of every item, so the answers
+are those of a full scan.  The test reads only the distance
+xd * ||q*x_i||, so a q costs one remainder per item until an item
+rejects it, and :func:`_solution`, the one builder of a scan's answer,
+computes the numerators for the q returned only.  The first item
+tested, which rejects most q, compares that remainder with its own
+window on the q's doubling block before its exact bound, so most q cost
+a remainder and two compares.  A walk starts at the last hit below its
+lower end, which a Euclid-style descent finds in O(log xd) steps, so its
+cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
@@ -349,17 +351,17 @@ def _window_hits(
 
 
 def _first_fit(
-    items: Sequence[tuple[int, int, int, int, int, int]],
+    items: Sequence[tuple[int, int, int, int, int]],
     lo: int,
     hi: int,
     path: list[tuple[int, int, int, int, int]],
-) -> tuple[int, tuple[int, ...]] | None:
+) -> int | None:
     """Smallest q in lo..hi whose nearest numerators fit every item, or None.
 
-    An item (i, xn, xd, a, c, den) fits q when d * den <= a*q + c, where
+    An item (xn, xd, a, c, den) fits q when d * den <= a*q + c, where
     d = xd * ||q*xn/xd|| = |xn*q - p*xd| for the numerator p nearest
-    q*xn/xd, exact ties to the smaller p; that p is the i-th of the
-    returned ones.  The candidates are lo, then the q above it that
+    q*xn/xd, exact ties to the smaller p (:func:`_solution` computes those
+    p for the q returned).  The candidates are lo, then the q above it that
     :func:`_window_hits` yields for the last item's (a, c, den), whose
     half-width (a*b + c) // den on the block ending at b holds every
     q <= b that fits that item, so no fit is missed.  The walk is lazy,
@@ -369,20 +371,19 @@ def _first_fit(
     The test needs d only, and d is the remainder r = xn*q mod xd or
     xd - r, whichever is smaller (a tie gives the same d either way).
     So a candidate costs one remainder per item until an item rejects
-    it, and the numerators are computed once, for the q returned.  The
-    first item, which rejects most candidates, first gets its block
-    window: a*q + c does not decrease in q, so a q that fits it has
-    d <= h = (a*b + c) // den, with b the end of q's doubling block (at
-    most hi).  A q with h < r < xd - h is rejected by two compares
-    against per-block integers, and only a q inside the window pays the
-    exact bound.
+    it, and no numerator is computed.  The first item, which rejects most
+    candidates, first gets its block window: a*q + c does not decrease in
+    q, so a q that fits it has d <= h = (a*b + c) // den, with b the end
+    of q's doubling block (at most hi).  A q with h < r < xd - h is
+    rejected by two compares against per-block integers, and only a q
+    inside the window pays the exact bound.
     """
     if lo > hi:
         return None
-    _, wn, wd, wa, wc, wden = items[-1]
+    wn, wd, wa, wc, wden = items[-1]
     walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden, path)
     # The first item rejects most candidates, so it is tested inline.
-    (_, fn, fd, fa, fc, fden), rest = items[0], items[1:]
+    (fn, fd, fa, fc, fden), rest = items[0], items[1:]
     end = -1
     for q in itertools.chain((lo,), walk):
         if q > end:
@@ -392,17 +393,47 @@ def _first_fit(
         r = fn * q % fd
         if h < r < top or (fd - r if r > fd >> 1 else r) * fden > fa * q + fc:
             continue
-        for _, xn, xd, a, c, den in rest:
+        for xn, xd, a, c, den in rest:
             r = xn * q % xd
             if (xd - r if r > xd >> 1 else r) * den > a * q + c:
                 break
         else:
-            ps = [0] * len(items)
-            for i, xn, xd, *_ in items:
-                p, r = divmod(xn * q, xd)
-                ps[i] = p + 1 if 2 * r > xd else p
-            return q, tuple(ps)
+            return q
     return None
+
+
+def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> tuple[list, list]:
+    """Integer parts (i, xn, xd, tn, td) of the items in test order, and the pivot's descent.
+
+    The pivot, whose error window :func:`_first_fit` walks, is the first
+    item with the smallest weight t_i, so a scan visits at most about
+    2*t_pivot*t_min of its range; it comes last, and the others follow
+    from the smallest weight up.  A scan reads its steps off the one
+    descent on the pivot (farey._descent), so a sweep descends it once
+    for all its points.  Item i is x_i = xn/xd with weight t_i = tn/td.
+    """
+    parts = [
+        (i, x.numerator, x.denominator, t.numerator, t.denominator)
+        for i, (x, t) in enumerate(items)
+    ]
+    # t_i * L for L the lcm of the weights' denominators: exact sort keys.
+    scale = math.lcm(*[td for *_, td in parts])
+    keys = [tn * (scale // td) for *_, tn, td in parts]
+    pivot = keys.index(min(keys))
+    # Every candidate is in the pivot's window, so test the pivot last and
+    # the other items from the tightest bound up: a miss shows sooner.
+    parts.sort(key=lambda part: (part[0] == pivot, keys[part[0]]))
+    return parts, _descent(parts[-1][1], parts[-1][2])
+
+
+def _solution(xs: Sequence[Fraction], q: int, epsilon: Fraction, method: str) -> Solution:
+    # The nearest numerators of a scan's q, exact ties to the smaller p, as
+    # _first_fit's test takes them.
+    ps = []
+    for x in xs:
+        p, r = divmod(x.numerator * q, x.denominator)
+        ps.append(p + 1 if 2 * r > x.denominator else p)
+    return Solution(q, tuple(ps), _exact_errors(xs, q, ps), epsilon, method)
 
 
 def _smallest_witnesses(
@@ -424,27 +455,14 @@ def _smallest_witnesses(
     range exceeds ``max_scan`` and that has no witness within it raises
     BudgetExceededError, as a per-point scan would.
 
-    :func:`_first_fit` walks the window of the pivot item, the first with
-    the smallest t_i, so a scan visits at most about 2*t_pivot*t_min of
-    its range.  Every walk of the sweep reads its steps off one descent on
-    the pivot, which therefore goes down each level once per sweep.  The
-    sweep is set up in integers from the numerators and denominators of
-    eps, x_i and t_i, read once per call: the pivot, the item order, each
-    point's range end and each item's bound build no Fraction.
+    Every walk of the sweep reads its steps off the plan's one descent on
+    the pivot (:func:`_plan`), which therefore goes down each level once
+    per sweep.  The sweep is set up in integers from the numerators and
+    denominators of eps, x_i and t_i, read once per call: each point's
+    range end and each item's bound build no Fraction.
     """
-    parts = [
-        (i, x.numerator, x.denominator, t.numerator, t.denominator)
-        for i, (x, t) in enumerate(cs.items)
-    ]
-    # t_i * L for L the lcm of the weights' denominators: exact sort keys.
-    scale = math.lcm(*[td for *_, td in parts])
-    keys = [tn * (scale // td) for *_, tn, td in parts]
-    pivot = keys.index(min(keys))
-    # Every candidate is in the pivot's window, so test the pivot last and
-    # the other items from the tightest bound up: a miss shows sooner.
-    parts.sort(key=lambda part: (part[0] == pivot, keys[part[0]]))
-    _, pn, pd, tn_min, td_min = parts[-1]
-    path = _descent(pn, pd)
+    parts, path = _plan(cs.items)
+    *_, tn_min, td_min = parts[-1]
     xs = cs.xs
     points: list[tuple[int, Solution | None]] = []
     start = 1
@@ -457,11 +475,10 @@ def _smallest_witnesses(
         # d = xd * ||q*xn/xd||.  The bound en*tn/(ed*td) is left unreduced:
         # the test and the window floor((a*b + c)/den) depend only on its
         # value, so they match those of the reduced eps*t and need no gcd.
-        items = [(i, xn, xd, en * tn * xd, 0, ed * td) for i, xn, xd, tn, td in parts]
-        fit = _first_fit(items, start, limit, path)
-        if fit is not None:
-            q, ps = fit
-            points.append((q_max, Solution(q, ps, _exact_errors(xs, q, ps), epsilon, "brute")))
+        items = [(xn, xd, en * tn * xd, 0, ed * td) for _, xn, xd, tn, td in parts]
+        q = _first_fit(items, start, limit, path)
+        if q is not None:
+            points.append((q_max, _solution(xs, q, epsilon, "brute")))
             start = q
             continue
         if q_max > max_scan:
@@ -555,8 +572,9 @@ def dirichlet_solve(
     Such a q exists by the pigeonhole argument, so an exhausted scan is
     reported as InternalError rather than infeasibility.  The recorded
     epsilon is 1/T, the guaranteed per-item scale (errors are <= 1/(Tq)).
-    :func:`_first_fit` walks the window of the last target x_n, the fixed
-    C = floor(xd/T), which is exactly the test ||q*x_n|| <= 1/T, so a scan
+    :func:`_first_fit` walks the window of the plan's pivot, the first
+    target x_1 (:func:`_plan`; the weights are uniform), with the fixed
+    C = floor(xd/T), which is exactly the test ||q*x_1|| <= 1/T, so a scan
     visits about 2/T of its range.
     """
     xs = tuple(Fraction(x) for x in xs)
@@ -580,12 +598,11 @@ def dirichlet_solve(
         raise BudgetExceededError(
             f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"
         )
+    parts, path = _plan([(x, 1) for x in xs])
     # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||.
-    items = [(i, x.numerator, x.denominator, 0, x.denominator, T) for i, x in enumerate(xs)]
-    fit = _first_fit(items, 1, q_max, _descent(xs[-1].numerator, xs[-1].denominator))
-    if fit is not None:
-        q, ps = fit
-        return Solution(q, ps, _exact_errors(xs, q, ps), Fraction(1, T), "dirichlet")
+    q = _first_fit([(xn, xd, 0, xd, T) for _, xn, xd, _, _ in parts], 1, q_max, path)
+    if q is not None:
+        return _solution(xs, q, Fraction(1, T), "dirichlet")
     raise InternalError(
         f"no q in 1..{q_max} with all distances <= 1/{T}; "
         "this contradicts the pigeonhole guarantee for exact inputs"

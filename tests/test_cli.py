@@ -828,6 +828,43 @@ def test_usage_errors(capsys):
     assert code == 1 and "unrecognized arguments: -x" in err
 
 
+LONG_INT = "1" + "0" * 4400
+LONG_INT_TEXT = "invalid int value: '10000000000000000000'..."
+SUBDIVIDE = ["subdivide", "--lo", "0", "--hi", "1", "--order", "1", "--gap", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--input", "c.txt", "--epsilon", "1/2", "--T", LONG_INT],
+        ["farey", "--order", LONG_INT],
+        ["sweep", "--input", "c.txt", "--eps-max", "1/2", "--eps-min", "1/4", "--points", LONG_INT],
+        ["solve", "--input", "c.txt", "--epsilon", "1/2", "--precision", LONG_INT],
+        [*SUBDIVIDE, "--max-denom", LONG_INT],
+        [*SUBDIVIDE, "--max-points", LONG_INT],
+    ],
+)
+def test_oversized_int_option_is_quoted_short(capsys, argv):
+    # argparse alone would quote all 4,401 digits, past the interpreter's
+    # limit; the message quotes the first 20 characters, after the usage.
+    option = argv[argv.index(LONG_INT) - 1]
+    code, out, err = invoke(capsys, argv)
+    assert code == 1 and out == "" and len(err.encode()) < 400
+    assert err.endswith(f"error: argument {option}: {LONG_INT_TEXT}\n")
+
+
+def test_bad_int_option_messages(capsys):
+    code, out, err = invoke(capsys, ["dirichlet", "--input", "c.txt", "--T", LONG_INT])
+    assert (code, out) == (1, "") and len(err.encode()) < 300
+    assert err.splitlines()[-1] == f"farey-approx dirichlet: error: argument --T: {LONG_INT_TEXT}"
+    # A value of at most 20 characters keeps argparse's own text.
+    code, out, err = invoke(capsys, ["farey", "--order", "abc"])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "farey-approx farey: error: argument --order: invalid int value: 'abc'"
+    )
+
+
 def test_negative_looking_values_are_values(capsys):
     # A value with one leading "-" parses with or without "=".
     listing = (0, "0/1\n1/3\n1/2\n2/3\n1/1\n", "")

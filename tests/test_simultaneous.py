@@ -472,13 +472,13 @@ def test_walks_sharing_a_descent_equal_linear_filter(case):
 def fit_scans(draw):
     # Small even denominators give exact ties, 2*d == xd, where the
     # numerator goes to the smaller p, and 64-digit stand-ins give long
-    # remainders.  The items come in any order, as the pivot order puts
-    # them, with oracle-style bounds (a > 0, and c = 0 or c = -1, the
-    # strict bound of a record walk) or Dirichlet-style ones (a = 0,
-    # c > 0).  lo > 1 is where a sweep point starts; a lo at or just below
-    # a power of two puts a doubling-block edge, where the first item's
-    # window widens, near the start of the range.  A den up to
-    # 64*(hi + 1) keeps some windows narrow at every q.
+    # remainders.  Each item is drawn on its own, so they come in any
+    # order, as the pivot order puts them, with oracle-style bounds (a > 0,
+    # and c = 0 or c = -1, the strict bound of a record walk) or
+    # Dirichlet-style ones (a = 0, c > 0).  lo > 1 is where a sweep point
+    # starts; a lo at or just below a power of two puts a doubling-block
+    # edge, where the first item's window widens, near the start of the
+    # range.  A den up to 64*(hi + 1) keeps some windows narrow at every q.
     lo = draw(st.one_of(
         st.integers(1, 300),
         st.integers(1, 40).flatmap(lambda k: st.integers(max(1, (1 << k) - 8), 1 << k)),
@@ -487,7 +487,7 @@ def fit_scans(draw):
     n = draw(st.integers(1, 4))
     oracle = draw(st.booleans())
     items = []
-    for i in draw(st.permutations(range(n))):
+    for _ in range(n):
         xd = draw(st.one_of(st.sampled_from([2, 4, 6, 8]), st.integers(1, 60)))
         x = draw(st.one_of(
             st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd)),
@@ -499,7 +499,7 @@ def fit_scans(draw):
             bound = (draw(st.integers(1, 4)) * xd, draw(st.sampled_from([0, -1])), den)
         else:
             bound = (0, draw(st.integers(1, 2 * xd)), draw(st.integers(1, 12)))
-        items.append((i, xn, xd, *bound))
+        items.append((xn, xd, *bound))
     return items, lo, hi
 
 
@@ -507,15 +507,22 @@ def fit_scans(draw):
 @given(fit_scans())
 def test_first_fit_equals_linear_scan(scan):
     # The reference takes the nearest numerator of each item, ties to the
-    # smaller p, and its integer test d*den <= a*q + c, at every q.
+    # smaller p, and its integer test d*den <= a*q + c, at every q.  The
+    # numerators of the q found are _solution's, pinned by the Dirichlet
+    # and oracle-vs-Fraction-scan tests.
     items, lo, hi = scan
-    expected = None
-    for q in range(lo, hi + 1):
-        ps = {i: best_numerator(F(xn, xd), q) for i, xn, xd, _, _, _ in items}
-        if all(abs(xn * q - ps[i] * xd) * den <= a * q + c for i, xn, xd, a, c, den in items):
-            expected = q, tuple(ps[i] for i in range(len(items)))
-            break
-    _, xn, xd, *_ = items[-1]
+    expected = next(
+        (
+            q
+            for q in range(lo, hi + 1)
+            if all(
+                abs(xn * q - best_numerator(F(xn, xd), q) * xd) * den <= a * q + c
+                for xn, xd, a, c, den in items
+            )
+        ),
+        None,
+    )
+    xn, xd, *_ = items[-1]
     assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
 
 
@@ -654,6 +661,35 @@ def test_sweep_descends_the_pivot_once(monkeypatch):
     per_block = [per_block_steps(pivot.numerator, pivot.denominator, w)[1] for w in windows]
     assert len(path) - 1 <= max(per_block)
     assert (len(path) - 1, len(windows), sum(per_block)) == (10, 19, 140)
+
+
+def test_dirichlet_walk_yields_a_pinned_count(visited):
+    # The exact number of q the walk on the first target offers before the
+    # smallest q of the six targets at T = 10, pinned as the oracle's is.
+    sol = dirichlet_solve(six_constants().xs, 10)
+    assert (sol.q, len(visited)) == (2105, 422)
+
+
+def test_every_scan_descends_its_pivot_once(monkeypatch):
+    # Each scan sets up one plan, which descends the first item with the
+    # smallest weight: sqrt3 in six_constants(), and the first target for
+    # Dirichlet, whose weights are uniform.  compare plans its two scans
+    # on one target.
+    targets = []
+    descent = simultaneous._descent
+
+    def recording_descent(xn, xd):
+        targets.append(F(xn, xd))
+        return descent(xn, xd)
+
+    monkeypatch.setattr(simultaneous, "_descent", recording_descent)
+    c = six_constants()
+    xs = c.xs
+    brute_force_solve(c, F(1, 10**3))
+    epsilon_threshold(c, [F(1, 10**k) for k in range(2, 5)])
+    dirichlet_solve(xs, 10)
+    compare(cs(*[(x, F(1)) for x in xs]), F(1, 10**3), 10)
+    assert targets == [xs[1], xs[1], xs[0], xs[0], xs[0]]
 
 
 def test_sweep_tries_previous_witness_first(visited):
