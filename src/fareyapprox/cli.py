@@ -27,10 +27,10 @@ from .errors import (
 from .farey import ExactHit, FareyPair, _farey_pairs, farey_neighbors
 from .mediants import _plan_subdivision
 from .rationals import (
-    _PRINT_LIMIT,
     DEFAULT_PRECISION,
     _int_text,
     _pair_lines,
+    _past_digit_limit,
     format_rational,
     parse_rational,
     parse_real,
@@ -139,11 +139,13 @@ def _json(value: object) -> object:
 def _int_arg(text: str) -> int:
     # argparse's own message for a bad int quotes the whole value, thousands
     # of digits for one past the interpreter's limit; quote 20 characters of
-    # a long value, as parse_rational does.
+    # a long value, and name that limit, as parse_rational does.
     try:
         return int(text)
     except ValueError:
         shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+        if over := _past_digit_limit(text):
+            raise argparse.ArgumentTypeError(f"{shown} has {over}") from None
         raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
@@ -185,18 +187,16 @@ def _build_grid(args) -> tuple[Fraction, ...]:
             if root < 1:
                 raise InvalidInputError("geometric grid too extreme for the fixed ratio scale")
             ratio = Fraction(root, scale)
-            # Point k has a denominator of up to 24*k digits; stop at the
-            # first one with a part past 4300 digits, str()'s default limit,
-            # so that the printed grid stays bounded.
+            # Each interior point is the previous one times the ratio,
+            # rounded down to 96 significant bits: the ratio has at most 80,
+            # so the 16 guard bits keep every digit that means anything, each
+            # point stays below the one before, and a grid's output grows
+            # linearly with the count.
             points = [top]
             for _ in range(m - 1):
-                point = points[-1] * ratio
-                points.append(point)
-                if max(point.numerator, point.denominator) >= _PRINT_LIMIT:
-                    raise InvalidInputError(
-                        f"geometric grid point {len(points)} has too many digits to print; "
-                        "use fewer --points"
-                    )
+                x = points[-1] * ratio
+                shift = Fraction(2) ** (96 + x.denominator.bit_length() - x.numerator.bit_length())
+                points.append(math.floor(x * shift) / shift)
             points = tuple(points) + (bottom,)
         else:
             span = top - bottom
@@ -317,7 +317,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return run_selftest(sys.stdout)
+    return run_selftest()
 
 
 def _add_precision(sub) -> None:

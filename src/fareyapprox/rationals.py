@@ -98,6 +98,16 @@ def _pair_lines(pairs: list[tuple[int, int]]) -> str:
         return "".join([f"{_int_text(h)}/{_int_text(k)}\n" for h, k in pairs])
 
 
+def _past_digit_limit(text: str) -> str:
+    # If text has a run of digits, "_" not counted, longer than the
+    # interpreter's limit on the digits int() reads (PYTHONINTMAXSTRDIGITS),
+    # the words a message names that limit with; else "".
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(text)):
+        return f"more than {limit} digits, the interpreter's limit (PYTHONINTMAXSTRDIGITS)"
+    return ""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a decimal literal (exponents allowed) exactly.
 
@@ -124,12 +134,8 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         # int() refuses a run of more digits than the interpreter's limit
         # (PYTHONINTMAXSTRDIGITS), which may be set below MAX_LITERAL_DIGITS.
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and any(len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(s)):
-            raise InvalidInputError(
-                f"literal {s[:20]!r}... has a number of more than {limit} digits, "
-                "the interpreter's limit (PYTHONINTMAXSTRDIGITS)"
-            ) from None
+        if over := _past_digit_limit(s):
+            raise InvalidInputError(f"literal {s[:20]!r}... has a number of {over}") from None
         raise InvalidInputError(f"cannot parse {text!r} as a rational") from None
 
 

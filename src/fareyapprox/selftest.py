@@ -7,9 +7,8 @@ two runs produce byte-identical output.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, Sequence, Union
 
 from . import farey, mediants, simultaneous
 from .rationals import parse_real
@@ -178,16 +177,16 @@ def _groups():
     yield "sweep vs oracle", detail, points, failures
 
 
-def run_selftest(stream: TextIO = sys.stdout) -> int:
+def run_selftest() -> int:
     """Run all checks, print one line per group plus a summary; 0 iff clean."""
     checks = 0
     failures: list[str] = []
     for label, detail, count, group_failures in _groups():
         checks += count
         failures.extend(group_failures)
-        stream.write(f"{label}: {'FAIL' if group_failures else 'ok'} ({detail})\n")
+        print(f"{label}: {'FAIL' if group_failures else 'ok'} ({detail})")
     for line in failures:
-        stream.write(f"FAIL {line}\n")
+        print(f"FAIL {line}")
     verdict = "all passed" if not failures else f"{len(failures)} failed"
-    stream.write(f"selftest: {checks} checks run, {verdict}\n")
+    print(f"selftest: {checks} checks run, {verdict}")
     return 0 if not failures else 1

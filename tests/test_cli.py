@@ -28,6 +28,7 @@ from fareyapprox import (
     subdivide,
 )
 from fareyapprox.cli import _build_parser, run
+from fareyapprox.selftest import run_selftest
 from oracles import consecutive_pairs, subdivision_failures
 
 
@@ -486,21 +487,6 @@ def test_sweep_grid_validation(tmp_path, capsys):
     ) == (1, "", "error: need --points >= 2 and --eps-min < --eps-max\n")
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
-)
-def test_sweep_geometric_grid_too_long_to_print(tmp_path, capsys):
-    # Point k of a geometric grid has a denominator of up to 24*k digits;
-    # with 200 points here, str() refuses to print the last ones.
-    sqrt2 = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
-    argv = ["sweep", "--input", sqrt2, "--eps-max", "1/10", "--eps-min", "1/1000",
-            "--geometric", "--points"]
-    assert invoke(capsys, [*argv, "181"])[0] == 0
-    code, out, err = invoke(capsys, [*argv, "200"])
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_compare_non_uniform_weights(tmp_path, capsys):
     path = write(tmp_path, "mixed.txt", "1/3 1\n2/3 2\n")
     code, _, err = invoke(capsys, ["compare", "--input", path, "--epsilon", "1/10", "--T", "4"])
@@ -723,19 +709,43 @@ def test_values_past_the_print_limit_print_exactly(tmp_path, capsys, argv, short
         assert invoke(capsys, placed(argv)) == got
 
 
-def test_geometric_grid_stops_where_str_would(tmp_path, capsys):
-    # The digit test stops a grid at the first point with a part past 4300
-    # digits, the point at which str() used to refuse it.
+def floor_root(lam, m, scale=10**24):
+    # The largest root with (root/scale)**m <= lam < 1, by binary search.
+    lo, hi = 0, scale
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**m * lam.denominator <= lam.numerator * scale**m:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def round96(x):
+    # x rounded down to 96 significant bits: floor(x * 2**s) / 2**s with
+    # s = 96 + (bits of the denominator) - (bits of the numerator).
+    s = 96 + x.denominator.bit_length() - x.numerator.bit_length()
+    if s >= 0:
+        return F(x.numerator * 2**s // x.denominator, 2**s)
+    return F(x.numerator // (x.denominator << -s) << -s)
+
+
+@pytest.mark.parametrize("count", [181, 200, 1000])
+def test_geometric_grid_points_are_rounded_to_96_bits(tmp_path, capsys, count):
+    # Every interior point is the previous one times the ratio, rounded
+    # down to 96 bits, so a grid prints at any count up to the cap.
     path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
-    argv = ["sweep", "--input", path, "--eps-max", "1/10", "--eps-min", "1/1000", "--geometric",
-            "--csv", "--points"]
-    code, out, err = invoke(capsys, argv + ["187"])
-    assert code == 0 and out.count("\n") == 188 and err == ""
-    for points, at in (("188", 183), ("192", 190), ("200", 185)):
-        assert invoke(capsys, argv + [points]) == (
-            1, "", f"error: geometric grid point {at} has too many digits to print; "
-            "use fewer --points\n"
-        )
+    code, out, err = invoke(
+        capsys,
+        ["sweep", "--input", path, "--eps-max", "1/10", "--eps-min", "1/1000", "--geometric",
+         "--csv", "--points", str(count)],
+    )
+    assert code == 0 and err == "" and out.count("\n") == count + 1
+    grid = [F(row.split(",")[0]) for row in out.splitlines()[1:]]
+    assert grid[0] == F(1, 10) and grid[-1] == F(1, 1000) and len(grid) == count
+    assert all(a > b for a, b in pairwise(grid))
+    ratio = F(floor_root(F(1, 100), count - 1), 10**24)
+    assert all(b == round96(a * ratio) for a, b in pairwise(grid[:-1]))
 
 
 @st.composite
@@ -776,10 +786,9 @@ def test_geometric_ratio_is_the_floor_root(span):
     assert lam.denominator <= bound  # root >= 1
     if count == 2:
         return
-    ratio = points[1] / top
-    assert scale % ratio.denominator == 0
-    root = ratio.numerator * (scale // ratio.denominator)
+    root = floor_root(lam, m)
     assert root**m * lam.denominator <= bound < (root + 1) ** m * lam.denominator
+    assert points[1] == round96(top * F(root, scale))
 
 
 def test_geometric_grid_of_halves_has_no_point_cap():
@@ -794,9 +803,9 @@ def test_geometric_grid_of_halves_has_no_point_cap():
     assert all(b == a / 2 for a, b in pairwise(points))
 
 
-def test_geometric_grid_at_the_point_cap_fails_fast(tmp_path):
-    # The ratio for 10,000 points is found in 80 comparisons, so the run
-    # reaches the grid's digit check in about a second.
+def test_geometric_grid_at_the_point_cap_is_fast(tmp_path):
+    # The ratio for 10,000 points is found in 80 comparisons and each point
+    # keeps 96 bits, so the whole grid is built and printed in about a second.
     path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
@@ -807,9 +816,9 @@ def test_geometric_grid_at_the_point_cap_fails_fast(tmp_path):
         text=True,
         timeout=10,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", "error: geometric grid point 188 has too many digits to print; use fewer --points\n"
-    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.encode()) < 5_000_000
+    assert len(json.loads(proc.stdout)["grid"]) == 10_000
 
 
 def test_usage_errors(capsys):
@@ -829,7 +838,10 @@ def test_usage_errors(capsys):
 
 
 LONG_INT = "1" + "0" * 4400
-LONG_INT_TEXT = "invalid int value: '10000000000000000000'..."
+LONG_INT_TEXT = (
+    "'10000000000000000000'... has more than 4300 digits, "
+    "the interpreter's limit (PYTHONINTMAXSTRDIGITS)"
+)
 SUBDIVIDE = ["subdivide", "--lo", "0", "--hi", "1", "--order", "1", "--gap", "1"]
 
 
@@ -846,7 +858,8 @@ SUBDIVIDE = ["subdivide", "--lo", "0", "--hi", "1", "--order", "1", "--gap", "1"
 )
 def test_oversized_int_option_is_quoted_short(capsys, argv):
     # argparse alone would quote all 4,401 digits, past the interpreter's
-    # limit; the message quotes the first 20 characters, after the usage.
+    # limit; the message quotes the first 20 characters and names the
+    # limit, after the usage.
     option = argv[argv.index(LONG_INT) - 1]
     code, out, err = invoke(capsys, argv)
     assert code == 1 and out == "" and len(err.encode()) < 400
@@ -857,11 +870,17 @@ def test_bad_int_option_messages(capsys):
     code, out, err = invoke(capsys, ["dirichlet", "--input", "c.txt", "--T", LONG_INT])
     assert (code, out) == (1, "") and len(err.encode()) < 300
     assert err.splitlines()[-1] == f"farey-approx dirichlet: error: argument --T: {LONG_INT_TEXT}"
-    # A value of at most 20 characters keeps argparse's own text.
+    # A value of at most 20 characters keeps argparse's own text; a longer
+    # malformed one within the limit is quoted to 20 characters.
     code, out, err = invoke(capsys, ["farey", "--order", "abc"])
     assert (code, out) == (1, "")
     assert err.splitlines()[-1] == (
         "farey-approx farey: error: argument --order: invalid int value: 'abc'"
+    )
+    code, out, err = invoke(capsys, ["farey", "--order", "1" * 30 + "x"])
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "farey-approx farey: error: argument --order: invalid int value: '11111111111111111111'..."
     )
 
 
@@ -991,6 +1010,15 @@ def test_selftest_passes_and_is_deterministic(capsys):
     # cannot silently drop or rename one.
     assert invoke(capsys, ["selftest"]) == (0, SELFTEST_STDOUT, "")
     assert invoke(capsys, ["selftest"]) == (0, SELFTEST_STDOUT, "")
+
+
+def test_selftest_writes_to_stdout_at_call_time():
+    # sys.stdout is looked up when the report is written, so a redirect
+    # made after the package was imported receives it.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_selftest() == 0
+    assert out.getvalue() == SELFTEST_STDOUT
 
 
 def failed_selftest(capsys):
@@ -1237,6 +1265,6 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, call):
     argv = [f"--input={path}" if a == "--input" else a for a in argv]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("FAREY_APPROX_MAX_SCAN", "20000")
-        mp.setattr("fareyapprox.cli.run_selftest", lambda stream: 0)  # pinned by the golden test
+        mp.setattr("fareyapprox.cli.run_selftest", lambda: 0)  # pinned by the golden test
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run(argv) in (0, 1, 2)

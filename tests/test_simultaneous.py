@@ -451,6 +451,41 @@ def test_shared_descent_equals_per_block_descent(case):
 
 
 @st.composite
+def step_windows(draw):
+    # Reduced xn/xd with xd >= 2 (xd = 1 has no walk, as in shared_descents)
+    # and any window 1 <= w <= xd + 1, drawn by bit length so that the
+    # 64-digit stand-ins get narrow windows too.
+    x = draw(st.one_of(
+        st.integers(2, 10**12).flatmap(
+            lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))
+        ).filter(lambda x: x.denominator > 1),
+        st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)),
+    ))
+    xd = x.denominator
+    w = draw(st.one_of(
+        st.sampled_from([1, 2, xd - 1, xd, xd + 1]),
+        st.integers(1, (xd + 1).bit_length()).flatmap(
+            lambda b: st.integers(1 << (b - 1), min(1 << b, xd + 1))
+        ),
+    ))
+    return x.numerator, xd, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_windows())
+@example((_SQRT2.numerator, _SQRT2.denominator, 10**40))
+def test_steps_are_the_first_hits_either_way(case):
+    # q1 is the first q >= 1 whose residue xn*q mod xd moves forward by
+    # u < w, q2 the first whose residue moves back by v < w: each is a
+    # first hit of the window, found by the Euclidean search on its own.
+    xn, xd, w = case
+    q1 = 1 + simultaneous._first_in_window(xn, xn, xd, w)
+    q2 = 1 + simultaneous._first_in_window(-xn, -xn, xd, w)
+    expected = (q1, xn * q1 % xd, q2, -xn * q2 % xd)
+    assert simultaneous._steps(simultaneous._descent(xn, xd), w) == expected
+
+
+@st.composite
 def shared_walks(draw):
     x = draw(st.one_of(window_targets(), st.sampled_from(STANDINS_64)))
     return x.numerator, x.denominator, draw(st.lists(walk_bounds(x), min_size=2, max_size=5))
