@@ -197,6 +197,11 @@ def _build_grid(args) -> tuple[Fraction, ...]:
                 x = points[-1] * ratio
                 shift = Fraction(2) ** (96 + x.denominator.bit_length() - x.numerator.bit_length())
                 points.append(math.floor(x * shift) / shift)
+            # Each factor is up to 1/scale below the true ratio, so with
+            # bottom/top that close to 1 the last interior point can fall to
+            # bottom or below it.
+            if points[-1] <= bottom:
+                raise InvalidInputError("geometric grid too fine for the fixed ratio scale")
             points = tuple(points) + (bottom,)
         else:
             span = top - bottom

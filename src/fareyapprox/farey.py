@@ -27,7 +27,7 @@ from typing import Iterator, Union
 
 from ._record import record
 from .errors import EndOfSequenceError, InvalidInputError
-from .rationals import _fraction_text
+from .rationals import _fraction_text, _int_text
 
 
 def _require_order(order: int) -> None:
@@ -57,12 +57,16 @@ class FareyPair:
         if not (0 <= a * d < b * c <= b * d):
             raise InvalidInputError(f"not an ordered pair in [0, 1]: {self._ends()}")
         if b > self.order or d > self.order:
-            raise InvalidInputError(f"denominators exceed order {self.order}: {self._ends()}")
+            raise InvalidInputError(
+                f"denominators exceed order {_int_text(self.order)}: {self._ends()}"
+            )
         if b * c - a * d != 1:
             raise InvalidInputError(f"pair is not unimodular: {self._ends()}")
         if b + d <= self.order:
             # the mediant would be a member of F_order between the two
-            raise InvalidInputError(f"pair is not consecutive in F_{self.order}: {self._ends()}")
+            raise InvalidInputError(
+                f"pair is not consecutive in F_{_int_text(self.order)}: {self._ends()}"
+            )
 
     def _ends(self) -> str:
         return f"{_fraction_text(self.left)}, {_fraction_text(self.right)}"

@@ -121,7 +121,8 @@ def _plan_subdivision(
     h2, k2 = base.right.numerator, base.right.denominator
     if max(k1, k2) > denom_bound:
         raise InfeasibleError(
-            f"endpoint denominators {k1}, {k2} already exceed the bound {denom_bound}"
+            f"endpoint denominators {_int_text(k1)}, {_int_text(k2)} already exceed the bound "
+            f"{_int_text(denom_bound)}"
         )
     # The pair is unimodular, so its gap is 1/(k1*k2).
     gn, gd = gap_bound.numerator, gap_bound.denominator
@@ -143,11 +144,11 @@ def _plan_subdivision(
     if anchor + p * step > denom_bound:
         raise InfeasibleError(
             f"gap bound {_fraction_text(gap_bound)} needs a chain denominator of "
-            f"{_int_text(anchor + p * step)} > {denom_bound}"
+            f"{_int_text(anchor + p * step)} > {_int_text(denom_bound)}"
         )
     if p + 2 > max_points:
         raise BudgetExceededError(
-            f"subdivision needs {_int_text(p + 2)} points, max_points={max_points}"
+            f"subdivision needs {_int_text(p + 2)} points, max_points={_int_text(max_points)}"
         )
     if descending:
         return [(h1, k1)] + _rungs(h2, k2, h1, k1, p)[::-1]

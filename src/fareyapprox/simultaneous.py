@@ -25,35 +25,34 @@ No scan tests every q of its range.  A q that fits every item fits one
 pivot item, and the q whose ||q*x|| lies in a window are the return times
 of the rotation q -> q*x mod 1 to an interval, which by the three-gap
 theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
-:func:`_window_hits` steps from one such q to the next in a few integer
-operations, with a window that contains every q the exact test can
-accept.  The gaps of a doubling block of q are read off the Stern-Brocot
+:func:`_first_fit`, the one scan of the oracle, the sweep and the
+baseline, steps from one such q to the next in a few integer operations,
+with a window per doubling block of q that contains every q the exact
+test can accept.  The gaps of a block are read off the Stern-Brocot
 descent on the pivot, the one descent of the package (farey._descent and
-farey._deepen, which compose_solve's Farey brackets are read off too):
-a scan builds that descent once, as deep as its narrowest window needs,
+farey._deepen, which compose_solve's Farey brackets are read off too): a
+scan builds that descent once, as deep as its narrowest window needs,
 and each block bisects it, so a sweep descends the pivot once for all
-its points.  :func:`_plan` sets up every scan of the oracle, the sweep
-and the baseline: the items' integer parts in test order and the
-descent on the pivot.  :func:`_first_fit`, their one scan, puts each q
-it yields through the exact integer test of every item, so the answers
-are those of a full scan.  The test reads only the distance
+its points.  :func:`_plan` sets up every scan: the items' integer parts
+in test order and the descent on the pivot.  Each q the walk reaches
+goes through :func:`_fits`, the one exact integer test of every item, so
+the answers are those of a full scan.  The test reads only the distance
 xd * ||q*x_i||, so a q costs one remainder per item until an item
 rejects it, and :func:`_solution`, the one builder of a scan's answer,
-computes the numerators for the q returned only.  The first item
-tested, which rejects most q, compares that remainder with its own
-window on the q's doubling block before its exact bound, so most q cost
-a remainder and two compares.  A walk starts at the last hit below its
-lower end, which a Euclid-style descent finds in O(log xd) steps, so its
-cost does not grow with the q below its range.
+computes the numerators for the q returned only.  The first item tested,
+which rejects most q, compares that remainder with its own window on the
+block before the exact test, so most q cost a remainder and two
+compares.  A walk starts at the last hit at or below its lower end,
+which a Euclid-style descent finds in O(log xd) steps, so its cost does
+not grow with the q below its range.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
@@ -182,8 +181,8 @@ def _positive_epsilon(epsilon: Fraction) -> Fraction:
 
 
 def _check_budget(max_scan: int) -> None:
-    if max_scan < 0:
-        raise InvalidInputError("max_scan must be nonnegative")
+    if not isinstance(max_scan, int) or max_scan < 0:
+        raise InvalidInputError("max_scan must be a nonnegative integer")
 
 
 def check_solution(
@@ -288,54 +287,81 @@ def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int
     return q1, u, q2, v
 
 
-def _window_hits(
-    xn: int,
-    xd: int,
+def _fits(items: Sequence[tuple[int, int, int, int, int]], q: int) -> bool:
+    """Whether the nearest numerators of q fit every item (xn, xd, a, c, den).
+
+    Item x = xn/xd fits q when d * den <= a*q + c, where d = xd * ||q*x||
+    = |xn*q - p*xd| for the numerator p nearest q*x, exact ties to the
+    smaller p (:func:`_solution` computes those p).  d is the remainder
+    r = xn*q mod xd or xd - r, whichever is smaller (a tie gives the same
+    d either way), so the test costs one remainder per item until an item
+    rejects q, and no numerator is computed.
+    """
+    for xn, xd, a, c, den in items:
+        r = xn * q % xd
+        if (xd - r if r > xd >> 1 else r) * den > a * q + c:
+            return False
+    return True
+
+
+def _first_fit(
+    items: Sequence[tuple[int, int, int, int, int]],
     lo: int,
     hi: int,
-    a: int,
-    c: int,
-    den: int,
     path: list[tuple[int, int, int, int, int]],
-) -> Iterator[int]:
-    """Yield, ascending, every q in lo..hi with xd * ||q*xn/xd|| <= C.
+) -> int | None:
+    """Smallest q in lo..hi that :func:`_fits` the items, or None.
 
-    xn/xd must be in lowest terms, a >= 0, den >= 1, and a*b + c >= 0 for
-    every block end b below (so c = -1 with a >= 1, a strict bound, is
-    allowed).  The half-width C = (a*b + c) // den is fixed per doubling
-    block [2**k, 2**(k+1) - 1] of q, where b is the block's last q (at
-    most hi); it does not decrease in b, so a hit of one block's window
-    is a hit of the next block's.  The walk starts in the block that
-    holds lo, at the last hit below lo, which :func:`_first_in_window`
-    finds by walking back from lo - 1 (q = 0 always hits, so there is
-    one).  It carries into each later block the last hit of the blocks
-    before.  Once the window covers all residues, q runs through the rest
-    of the range one by one.  Each block reads its steps off ``path``,
-    the descent on xn/xd (farey._descent), which a caller walking xn/xd
-    more than once passes to every walk.
+    Each item is (xn, xd, a, c, den) with xn/xd in lowest terms, a >= 0,
+    den >= 1 and a*b + c >= 0 at every block end b below (so c = -1 with
+    a >= 1, a strict bound, is allowed).  lo is tested first.  The other
+    candidates are the q above it whose pivot, the last item, lies in its
+    window: a*q + c does not decrease in q, so on the doubling block
+    [2**k, 2**(k+1) - 1] ending at b (at most hi) a q that fits the pivot
+    has xd * ||q*x|| <= h = (a*b + c) // den, and no fit is missed.  h
+    does not decrease in b, so a hit of one block's window is a hit of the
+    next block's.  ``path`` is the pivot's descent (farey._descent),
+    shared with the caller's other scans.
+
+    The hits of a window follow each other by one of three gaps (Sós
+    1958), read off ``path`` once per block by :func:`_steps`; once the
+    window covers every residue, the gap is 1.  The walk starts in the
+    block that holds lo + 1, at the last hit at or below lo, which
+    :func:`_first_in_window` finds by walking back from lo (q = 0 always
+    hits, so there is one), and it carries into each later block the last
+    hit of the blocks before.  A wider window can take in a q between
+    that hit and the block's start; such a q missed its own block's
+    window, so it fails the pivot's exact test.  The first item, which
+    rejects most candidates, gets its own block window fh first: a hit
+    with fh < r < xd - fh, r its remainder, is rejected by two compares
+    against per-block integers, and only the others pay the exact test.
     """
-    lo = max(lo, 1)
     if lo > hi:
-        return
-    q, k = None, lo.bit_length() - 1
+        return None
+    if _fits(items, lo):
+        return lo
+    if lo == hi:
+        return None
+    pn, pd, pa, pc, pden = items[-1]
+    fn, fd, fa, fc, fden = items[0]
+    q, k = None, (lo + 1).bit_length() - 1
     while 1 << k <= hi:
-        first, last = max(lo, 1 << k), min((2 << k) - 1, hi)
-        h = (a * last + c) // den
+        last = min((2 << k) - 1, hi)
+        h = (pa * last + pc) // pden
         w = 2 * h + 1
-        if w >= xd:
-            yield from range(first, hi + 1)
-            return
-        # Shifted residues s = (xn*q + h) mod xd put the window at 0..w-1.
+        # Shifted residues s = (pn*q + h) mod pd put the window at 0..w-1.
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
         # the first whose residue moves back by v < w.
-        q1, u, q2, v = _steps(path, w)
+        q1, u, q2, v = _steps(path, w) if w < pd else (1, 0, 1, 0)
+        fh = (fa * last + fc) // fden
+        top = fd - fh
         if q is None:
-            # Walking back from lo - 1 moves the residue by -xn per step.
-            q = lo - 1 - _first_in_window(-xn, xn * (lo - 1) + h, xd, w)
-        # Three-gap rule: u + v >= w, so at most one of s + u and s - v
-        # stays in the window; when neither does, s + u - v does.
-        s = (xn * q + h) % xd
+            # Walking back from lo moves the residue by -pn per step.
+            q = lo - _first_in_window(-pn, pn * lo + h, pd, w)
+        s = (pn * q + h) % pd
         while True:
+            # Three-gap rule: u + v >= w, so at most one of s + u and s - v
+            # stays in the window; when neither does, s + u - v does.
             if s + u < w:
                 step, s = q1, s + u
             elif s >= v:
@@ -345,60 +371,9 @@ def _window_hits(
             if q + step > last:
                 break
             q += step
-            if q >= first:
-                yield q
+            if not fh < fn * q % fd < top and _fits(items, q):
+                return q
         k += 1
-
-
-def _first_fit(
-    items: Sequence[tuple[int, int, int, int, int]],
-    lo: int,
-    hi: int,
-    path: list[tuple[int, int, int, int, int]],
-) -> int | None:
-    """Smallest q in lo..hi whose nearest numerators fit every item, or None.
-
-    An item (xn, xd, a, c, den) fits q when d * den <= a*q + c, where
-    d = xd * ||q*xn/xd|| = |xn*q - p*xd| for the numerator p nearest
-    q*xn/xd, exact ties to the smaller p (:func:`_solution` computes those
-    p for the q returned).  The candidates are lo, then the q above it that
-    :func:`_window_hits` yields for the last item's (a, c, den), whose
-    half-width (a*b + c) // den on the block ending at b holds every
-    q <= b that fits that item, so no fit is missed.  The walk is lazy,
-    so it starts only if lo fails; ``path`` is the last item's descent
-    (farey._descent), shared with the caller's other walks.
-
-    The test needs d only, and d is the remainder r = xn*q mod xd or
-    xd - r, whichever is smaller (a tie gives the same d either way).
-    So a candidate costs one remainder per item until an item rejects
-    it, and no numerator is computed.  The first item, which rejects most
-    candidates, first gets its block window: a*q + c does not decrease in
-    q, so a q that fits it has d <= h = (a*b + c) // den, with b the end
-    of q's doubling block (at most hi).  A q with h < r < xd - h is
-    rejected by two compares against per-block integers, and only a q
-    inside the window pays the exact bound.
-    """
-    if lo > hi:
-        return None
-    wn, wd, wa, wc, wden = items[-1]
-    walk = _window_hits(wn, wd, lo + 1, hi, wa, wc, wden, path)
-    # The first item rejects most candidates, so it is tested inline.
-    (fn, fd, fa, fc, fden), rest = items[0], items[1:]
-    end = -1
-    for q in itertools.chain((lo,), walk):
-        if q > end:
-            end = min((1 << q.bit_length()) - 1, hi)
-            h = (fa * end + fc) // fden
-            top = fd - h
-        r = fn * q % fd
-        if h < r < top or (fd - r if r > fd >> 1 else r) * fden > fa * q + fc:
-            continue
-        for xn, xd, a, c, den in rest:
-            r = xn * q % xd
-            if (xd - r if r > xd >> 1 else r) * den > a * q + c:
-                break
-        else:
-            return q
     return None
 
 

@@ -766,6 +766,7 @@ def geometric_spans(draw):
 @example((F(1, 2), F(1, 8), 3))  # (root/10**24)**2 == 1/4 exactly: root = 5 * 10**23
 @example((F(1), F(25 * 10**46 - 1, 10**48), 3))  # just below that square: 5 * 10**23 - 1
 @example((F(1), F(999_999, 1_000_000), 170))  # a ratio near 1 at the largest count drawn
+@example((F(1), F(10**30 - 1, 10**30), 170))  # closer to 1 than the scale: too fine
 def test_geometric_ratio_is_the_floor_root(span):
     # The grid's ratio is root/10**24 for the largest root with
     # root**m * lam.denominator <= lam.numerator * 10**(24m), lam = eps_min/eps_max.
@@ -779,16 +780,37 @@ def test_geometric_ratio_is_the_floor_root(span):
     try:
         points = cli._build_grid(args)
     except InvalidInputError as exc:
-        assert str(exc) == "geometric grid too extreme for the fixed ratio scale"
-        assert lam.denominator > bound
+        if str(exc) == "geometric grid too extreme for the fixed ratio scale":
+            assert lam.denominator > bound
+            return
+        # Too fine: the last interior point, the top times the ratio m - 1
+        # times with each product rounded down, is not above the bottom.
+        assert str(exc) == "geometric grid too fine for the fixed ratio scale"
+        point, ratio = top, F(floor_root(lam, m), scale)
+        for _ in range(m - 1):
+            point = round96(point * ratio)
+        assert count > 2 and point <= bottom
         return
     assert points[0] == top and points[-1] == bottom and len(points) == count
+    assert all(a > b for a, b in pairwise(points))
     assert lam.denominator <= bound  # root >= 1
     if count == 2:
         return
     root = floor_root(lam, m)
     assert root**m * lam.denominator <= bound < (root + 1) ** m * lam.denominator
     assert points[1] == round96(top * F(root, scale))
+
+
+def test_geometric_grid_too_fine_for_the_ratio_scale(tmp_path, capsys):
+    # bottom/top = 1 - 10**-30: the ratio, a multiple of 10**-24 at or below
+    # the true 169th root, takes the last interior point below eps_min,
+    # which the error blames on the ratio's scale, not on the user's grid.
+    path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
+    assert invoke(
+        capsys,
+        ["sweep", "--input", path, "--eps-max", "1", "--eps-min",
+         "0.999999999999999999999999999999", "--points", "170", "--geometric"],
+    ) == (1, "", "error: geometric grid too fine for the fixed ratio scale\n")
 
 
 def test_geometric_grid_of_halves_has_no_point_cap():
@@ -1062,22 +1084,22 @@ def test_selftest_catches_a_false_compose_flag(capsys, monkeypatch):
 
 
 def test_selftest_catches_a_broken_oracle(capsys, monkeypatch):
-    walk = simultaneous._window_hits
+    fits = simultaneous._fits
 
-    def skip_odd(*args):
-        return (q for q in walk(*args) if q % 2 == 0)
+    def reject_odd(items, q):
+        return q % 2 == 0 and fits(items, q)
 
-    monkeypatch.setattr(simultaneous, "_window_hits", skip_odd)
+    monkeypatch.setattr(simultaneous, "_fits", reject_odd)
     assert "oracle vs Fraction scan: FAIL" in failed_selftest(capsys)
 
 
 def test_selftest_catches_an_oracle_scanning_past_its_range(capsys, monkeypatch):
-    walk = simultaneous._window_hits
+    first_fit = simultaneous._first_fit
 
-    def overshoot(xn, xd, lo, hi, *bound):
-        return walk(xn, xd, lo, 2 * hi, *bound)
+    def overshoot(items, lo, hi, path):
+        return first_fit(items, lo, 2 * hi, path)
 
-    monkeypatch.setattr(simultaneous, "_window_hits", overshoot)
+    monkeypatch.setattr(simultaneous, "_first_fit", overshoot)
     assert "oracle vs Fraction scan: FAIL" in failed_selftest(capsys)
 
 

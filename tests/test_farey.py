@@ -120,6 +120,18 @@ def test_farey_pair_validation():
             FareyPair(left, right, order)
 
 
+def test_farey_pair_messages_print_orders_of_any_length():
+    # An order past the interpreter's digit limit (4300 by default) is
+    # printed in full, not refused by str() with ValueError.
+    n = 10**5000
+    with pytest.raises(InvalidInputError) as exc:
+        FareyPair(F(0), F(1, 2 * n), n)
+    assert str(exc.value) == f"denominators exceed order 1{'0' * 5000}: 0, 1/2{'0' * 5000}"
+    with pytest.raises(InvalidInputError) as exc:
+        FareyPair(F(0), F(1, n), n + 2)
+    assert str(exc.value) == f"pair is not consecutive in F_1{'0' * 4999}2: 0, 1/1{'0' * 5000}"
+
+
 def test_farey_next_examples():
     assert farey_next(FareyPair(F(0), F(1, 5), 5)) == F(1, 4)
     assert farey_next(FareyPair(F(3, 4), F(4, 5), 5)) == F(1)

@@ -147,6 +147,29 @@ def test_subdivide_point_budget():
     assert len(subdivide(base, F(1, 1001000), 10**9, max_points=10**7).points) == 10**6 + 2
 
 
+def test_subdivide_messages_print_integers_of_any_length():
+    # Denominators and bounds past the interpreter's digit limit (4300 by
+    # default) are printed in full, not refused by str() with ValueError.
+    n, zeros = 10**5000, "0" * 4998
+    big = FareyPair(F(1, n), F(1, n - 1), n)
+    with pytest.raises(InfeasibleError) as exc:
+        subdivide(big, F(1, 7), 2)
+    assert str(exc.value) == (
+        f"endpoint denominators 1{zeros}00, {'9' * 5000} already exceed the bound 2"
+    )
+    base = FareyPair(F(0), F(1, n), n)
+    with pytest.raises(InfeasibleError) as exc:
+        subdivide(base, F(1, n + 10), n + 1)
+    assert str(exc.value) == (
+        f"gap bound 1/1{zeros}10 needs a chain denominator of 1{zeros}10 > 1{zeros}01"
+    )
+    with pytest.raises(BudgetExceededError) as exc:
+        subdivide(base, F(1, n * n), n * n, max_points=n)
+    assert str(exc.value) == (
+        f"subdivision needs {'9' * 5000}{zeros}02 points, max_points=1{zeros}00"
+    )
+
+
 def test_subdivide_invalid_arguments():
     with pytest.raises(InvalidInputError):
         subdivide(THIRD_HALF, F(0), 10)

@@ -132,11 +132,14 @@ _NO_BUDGET = "T**n - 1 = 3 exceeds scan budget 0"
 )
 def test_library_rejects_negative_budget(call, zero_budget):
     # The CLI refuses FAREY_APPROX_MAX_SCAN < 1, so only a library caller
-    # reaches these checks.  A budget of 0 stays valid: it decides an
-    # empty range and stops any scan before its first q.
+    # reaches these checks.  A budget that is not an int is refused too,
+    # before it can be printed as a count or miss an int method.  A budget
+    # of 0 stays valid: it decides an empty range and stops any scan
+    # before its first q.
     c = cs((F(1, 3), F(1)))
-    with pytest.raises(InvalidInputError, match="^max_scan must be nonnegative$"):
-        call(c, -1)
+    for bad in (-1, 2.5, F(5), "10", None):
+        with pytest.raises(InvalidInputError, match="^max_scan must be a nonnegative integer$"):
+            call(c, bad)
     if isinstance(zero_budget, Exception):
         with pytest.raises(type(zero_budget), match=f"^{re.escape(str(zero_budget))}$"):
             call(c, 0)
@@ -367,24 +370,32 @@ def window_walks(draw):
     return x.numerator, x.denominator, lo, hi, bound
 
 
-def linear_hits(xn, xd, lo, hi, a, c, den):
-    # Every q in lo..hi within the half-width of the doubling block that
-    # holds it, ended at hi.
-    hits = []
-    for q in range(lo, hi + 1):
-        r = xn * q % xd
-        if min(r, xd - r) <= (a * min((1 << q.bit_length()) - 1, hi) + c) // den:
-            hits.append(q)
-    return hits
+def linear_fits(xn, xd, lo, hi, a, c, den):
+    # Every q in lo..hi that passes the exact test d*den <= a*q + c, with
+    # d = xd * ||q*xn/xd||.
+    return [q for q in range(lo, hi + 1) if min(xn * q % xd, -xn * q % xd) * den <= a * q + c]
+
+
+def listed_fits(items, lo, hi, path):
+    # Every q in lo..hi that fits the items, each found by a scan that
+    # starts just past the fit before, as a record walk runs them.
+    fits = []
+    q = simultaneous._first_fit(items, lo, hi, path)
+    while q is not None:
+        fits.append(q)
+        q = simultaneous._first_fit(items, q + 1, hi, path)
+    return fits
 
 
 @settings(max_examples=400, deadline=None)
 @given(window_walks())
 def test_window_hits_equal_linear_filter(walk):
+    # A one-item scan walks the item's own window: the scans listing every
+    # fit of lo..hi miss none that a linear scan finds.
     xn, xd, lo, hi, (a, c, den) = walk
-    expected = linear_hits(xn, xd, lo, hi, a, c, den)
+    expected = linear_fits(xn, xd, lo, hi, a, c, den)
     path = simultaneous._descent(xn, xd)
-    assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den, path)) == expected
+    assert listed_fits([(xn, xd, a, c, den)], lo, hi, path) == expected
 
 
 def per_block_steps(xn, xd, w):
@@ -494,13 +505,13 @@ def shared_walks(draw):
 @settings(max_examples=200, deadline=None)
 @given(shared_walks())
 def test_walks_sharing_a_descent_equal_linear_filter(case):
-    # Walks of one target, each with its own bound and lo, as a sweep's
+    # Scans of one target, each with its own bound and lo, as a sweep's
     # points make them, read their steps off one path.
     xn, xd, walks = case
     path = simultaneous._descent(xn, xd)
     for lo, hi, (a, c, den) in walks:
-        expected = linear_hits(xn, xd, lo, hi, a, c, den)
-        assert list(simultaneous._window_hits(xn, xd, lo, hi, a, c, den, path)) == expected
+        expected = linear_fits(xn, xd, lo, hi, a, c, den)
+        assert listed_fits([(xn, xd, a, c, den)], lo, hi, path) == expected
 
 
 @st.composite
@@ -579,14 +590,20 @@ def test_first_in_window_equals_search(case):
 
 def test_window_walk_starts_at_lo():
     # About 1 q in 500 hits this window, so a walk that stepped up from
-    # q = 0 would pass some 2*10**9 hits before lo.
+    # q = 0 would pass some 2*10**9 hits before lo.  The script lists the
+    # fits as listed_fits does.
     lo, hi = 10**12, 10**12 + 20_000
     script = (
         "from fareyapprox import parse_real\n"
-        "from fareyapprox.simultaneous import _descent, _window_hits\n"
+        "from fareyapprox.simultaneous import _descent, _first_fit\n"
         "x = parse_real('sqrt2', 5000) - 1\n"
         "xn, xd = x.numerator, x.denominator\n"
-        f"print(*_window_hits(xn, xd, {lo}, {hi}, 0, xd, 1000, _descent(xn, xd)))\n"
+        "items, path, fits = [(xn, xd, 0, xd, 1000)], _descent(xn, xd), []\n"
+        f"q = _first_fit(items, {lo}, {hi}, path)\n"
+        "while q is not None:\n"
+        "    fits.append(q)\n"
+        f"    q = _first_fit(items, q + 1, {hi}, path)\n"
+        "print(*fits)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -627,16 +644,15 @@ def test_dirichlet_matches_linear_scan(xs, T):
 
 @pytest.fixture
 def visited(monkeypatch):
-    # Every q the three-gap walk yields, in order.
+    # Every q a scan puts through the exact test, in order.
     seen = []
-    walk = simultaneous._window_hits
+    fits = simultaneous._fits
 
-    def counting(*args):
-        for q in walk(*args):
-            seen.append(q)
-            yield q
+    def counting(items, q):
+        seen.append(q)
+        return fits(items, q)
 
-    monkeypatch.setattr(simultaneous, "_window_hits", counting)
+    monkeypatch.setattr(simultaneous, "_fits", counting)
     return seen
 
 
@@ -647,19 +663,21 @@ def six_constants():
 
 
 def test_oracle_visits_few_denominators(visited):
-    # Walking the item with the smallest t should offer about
-    # 2*t_min**2 = 2% of the range, where the first item (t = 1) would
-    # offer 20% and a full scan all of it.
+    # Walking the item with the smallest t offers about 2*t_min**2 = 2% of
+    # the range, where the first item (t = 1) would offer 20% and a full
+    # scan all of it; the first item's window leaves few of those for the
+    # exact test.
     assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
     assert 0 < len(visited) < 0.03 * 10**5
 
 
 def test_oracle_walk_yields_a_pinned_count(visited):
-    # The exact number of q the walk offers on the instance above.  A
-    # cheaper test per candidate leaves it as it is; a walk that skips
-    # candidates (a sieve over two windows) must change it.
+    # The exact number of q that reach the exact test on the instance
+    # above: lo, and 19 of the 1,259 q the pivot's walk offers, the ones
+    # inside the first item's window too.  A cheaper exact test leaves it
+    # as it is; a walk that skips candidates must change it.
     assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
-    assert len(visited) == 1259
+    assert len(visited) == 20
 
 
 def test_sweep_descends_the_pivot_once(monkeypatch):
@@ -699,10 +717,12 @@ def test_sweep_descends_the_pivot_once(monkeypatch):
 
 
 def test_dirichlet_walk_yields_a_pinned_count(visited):
-    # The exact number of q the walk on the first target offers before the
-    # smallest q of the six targets at T = 10, pinned as the oracle's is.
+    # The exact number of q that reach the exact test before the smallest
+    # q of the six targets at T = 10, pinned as the oracle's is: of the 422
+    # the walk on the first target offers, 84 are in the second target's
+    # window too, and lo = 1 is tested first.
     sol = dirichlet_solve(six_constants().xs, 10)
-    assert (sol.q, len(visited)) == (2105, 422)
+    assert (sol.q, len(visited)) == (2105, 85)
 
 
 def test_every_scan_descends_its_pivot_once(monkeypatch):
@@ -729,12 +749,13 @@ def test_every_scan_descends_its_pivot_once(monkeypatch):
 
 def test_sweep_tries_previous_witness_first(visited):
     # 200 points share 7 witnesses: each point first tests the witness of
-    # the one before, so a walk runs only where the witness changes.
+    # the one before (q = 1 for the first), so a walk runs only where the
+    # witness changes, and the walks put 13 more q through the exact test.
     c = cs((SQRT2_50, F(1)), (parse_real("sqrt3", 50), F(1)))
     rep = epsilon_threshold(c, [F(1, k) for k in range(10, 1010, 5)])
     assert all(rep.feasible)
     assert len({w.q for w in rep.witnesses}) == 7
-    assert len(visited) < 50
+    assert len(visited) == 200 + 13
 
 
 def test_epsilon_threshold_examples():
