@@ -13,15 +13,19 @@ they are, :func:`verify_farey_properties` checks them, and
 boundary.
 
 The Stern-Brocot descent on a rational is the one kernel behind every
-bracket: :func:`_descent` starts its path and :func:`_deepen` takes its
-one batched step.  :func:`_bracket` reads the Farey bracket of any order
-off it, which serves ``farey_neighbors``, the seed of a listing and the
-composition heuristic, and the scans of :mod:`fareyapprox.simultaneous`
-bisect the same path by residue.
+bracket and every three-gap step, and this module is the only one that
+knows its path: a list of levels (-min(u, v), q1, u, q2, v), which
+:func:`_descent` starts and :func:`_deepen` extends by one batched step.
+It has two readers.  :func:`_bracket` reads the Farey bracket of any
+order off it, as its endpoints, which serves ``farey_neighbors``, the
+seed of a listing and the composition heuristic.  :func:`_steps` bisects
+it by residue for the scans of :mod:`fareyapprox.simultaneous`, which
+hold a path but never index its levels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -140,9 +144,36 @@ def _deepen(path: list[tuple[int, int, int, int, int]]) -> None:
     path.append((-min(u, v), q1, u, q2, v))
 
 
+def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int, int, int]:
+    """(q1, u, q2, v) of the first level of the descent with u < w and v < w.
+
+    Each step of the descent (:func:`_deepen`) takes the larger of u and v
+    below the smaller, and its last step goes to q1 = q2 = xd with
+    u = v = 0 (for w = 1 the hits are the multiples of xd).  So levels
+    whose smaller residue is >= w are passed whole, and the first level
+    whose smaller residue is < w needs at most one partial step: the
+    fewest steps of the smaller that take the larger below w.  ``path``
+    (from :func:`_descent`) keeps the levels found so far and is extended
+    in place only as deep as w needs, so the callers that walk one target
+    with many windows take each level's step once.
+    """
+    while path[-1][0] <= -w:
+        _deepen(path)
+    # The key -min(u, v) of the first level with min(u, v) < w is >= 1 - w,
+    # and a longer tuple sorts after its prefix (1 - w,).
+    _, q1, u, q2, v = path[bisect_left(path, (1 - w,))]
+    if u >= w:
+        j = (u - w) // v + 1
+        q1, u = q1 + j * q2, u - j * v
+    elif v >= w:
+        j = (v - w) // u + 1
+        q2, v = q2 + j * q1, v - j * u
+    return q1, u, q2, v
+
+
 def _bracket(xn: int, xd: int, order: int) -> tuple[int, int, int, int]:
-    # (q1, u, q2, v) of the consecutive terms of F_order on either side of
-    # xn/xd, shifted by floor(xn/xd), for xd > order.  The descent goes
+    # (p1, q1, p2, q2) of the consecutive terms p1/q1 < xn/xd < p2/q2 of
+    # F_order shifted by floor(xn/xd), for xd > order.  The descent goes
     # on while q1 + q2 <= order; from the last level within the order
     # (the root at order 1) one more step, capped so that no q exceeds
     # the order, reaches the bracket.
@@ -156,7 +187,7 @@ def _bracket(xn: int, xd: int, order: int) -> tuple[int, int, int, int]:
     elif v > u:
         j = min((v - 1) // u, (order - q2) // q1)
         q2, v = q2 + j * q1, v - j * u
-    return q1, u, q2, v
+    return (xn * q1 - u) // xd, q1, (xn * q2 + v) // xd, q2
 
 
 def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
@@ -164,8 +195,7 @@ def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
     # F_order, for 0 < lo <= 1.
     h, k = lo.numerator, lo.denominator
     if k > order:
-        q1, u, q2, v = _bracket(h, k, order)
-        return (h * q1 - u) // k, q1, (h * q2 + v) // k, q2
+        return _bracket(h, k, order)
     # lo = h/k is a term.  Take a, b with h*b - k*a = 1 and 0 <= b < k: the
     # predecessor of h/k is (a + t*h)/(b + t*k) for some t >= 0, and the
     # recurrence steps from either to the same next term (its multiplier
@@ -228,9 +258,8 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
         raise InvalidInputError(f"value {_fraction_text(x)} outside [0, 1]")
     if x.denominator <= order:
         return ExactHit(x, order)
-    xn, xd = x.numerator, x.denominator
-    q1, u, q2, v = _bracket(xn, xd, order)
-    return FareyPair(Fraction((xn * q1 - u) // xd, q1), Fraction((xn * q2 + v) // xd, q2), order)
+    p1, q1, p2, q2 = _bracket(x.numerator, x.denominator, order)
+    return FareyPair(Fraction(p1, q1), Fraction(p2, q2), order)
 
 
 def verify_farey_properties(order: int) -> PropertyReport:
@@ -243,42 +272,34 @@ def verify_farey_properties(order: int) -> PropertyReport:
     (stated only for order > 1, so it is skipped at order 1).
     """
     _require_order(order)
-    uni_bad = mid_bad = sum_bad = dup_bad = None
+    # The terms of each law's first counterexample, by the law's field name.
+    first: dict[str, tuple[tuple[int, int], ...]] = {}
     pairs = 0
-    triples = 0
-    prev2: tuple[int, int] | None = None
-    prev1: tuple[int, int] | None = None
+    prev2 = prev1 = None
     for cur in _farey_pairs(order, None):
         if prev1 is not None:
             pairs += 1
-            h, k = prev1
-            h2, k2 = cur
-            if uni_bad is None and k * h2 - h * k2 != 1:
-                uni_bad = f"{h}/{k}, {h2}/{k2}"
-            if sum_bad is None:
-                mn, md = h + h2, k + k2
-                between = h * md < k * mn and mn * k2 < md * h2
-                if not (md > order and between):
-                    sum_bad = f"{h}/{k}, {h2}/{k2}"
-            if dup_bad is None and order > 1 and k == k2:
-                dup_bad = f"{h}/{k}, {h2}/{k2}"
-        if prev2 is not None:
-            triples += 1
-            ha, ka = prev2
-            hb, kb = prev1
-            hc, kc = cur
-            if mid_bad is None and hb * (ka + kc) != kb * (ha + hc):
-                mid_bad = f"{ha}/{ka}, {hb}/{kb}, {hc}/{kc}"
+            (h, k), (h2, k2) = prev1, cur
+            mn, md = h + h2, k + k2
+            if k * h2 - h * k2 != 1:
+                first.setdefault("adjacent_unimodular", (prev1, cur))
+            if prev2 is not None and h * (prev2[1] + k2) != k * (prev2[0] + h2):
+                first.setdefault("mediant_of_neighbors", (prev2, prev1, cur))
+            if not (md > order and h * md < k * mn and mn * k2 < md * h2):
+                first.setdefault("denominator_sum_exceeds_order", (prev1, cur))
+            if order > 1 and k == k2:
+                first.setdefault("distinct_adjacent_denominators", (prev1, cur))
         prev2, prev1 = prev1, cur
+
+    def check(name: str, checked: int, skipped: bool = False) -> PropertyCheck:
+        terms = first.get(name)
+        text = terms and ", ".join(f"{h}/{k}" for h, k in terms)
+        return PropertyCheck(terms is None, checked, text, skipped)
+
     return PropertyReport(
-        order=order,
-        adjacent_unimodular=PropertyCheck(uni_bad is None, pairs, uni_bad),
-        mediant_of_neighbors=PropertyCheck(mid_bad is None, triples, mid_bad),
-        denominator_sum_exceeds_order=PropertyCheck(sum_bad is None, pairs, sum_bad),
-        distinct_adjacent_denominators=PropertyCheck(
-            dup_bad is None,
-            pairs if order > 1 else 0,
-            dup_bad,
-            skipped=order == 1,
-        ),
+        order,
+        check("adjacent_unimodular", pairs),
+        check("mediant_of_neighbors", max(pairs - 1, 0)),
+        check("denominator_sum_exceeds_order", pairs),
+        check("distinct_adjacent_denominators", pairs if order > 1 else 0, order == 1),
     )

@@ -28,35 +28,34 @@ theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 :func:`_first_fit`, the one scan of the oracle, the sweep and the
 baseline, steps from one such q to the next in a few integer operations,
 with a window per doubling block of q that contains every q the exact
-test can accept.  The gaps of a block are read off the Stern-Brocot
-descent on the pivot, the one descent of the package (farey._descent and
-farey._deepen, which compose_solve's Farey brackets are read off too): a
-scan builds that descent once, as deep as its narrowest window needs,
-and each block bisects it, so a sweep descends the pivot once for all
-its points.  :func:`_plan` sets up every scan: the items' integer parts
-in test order and the descent on the pivot.  Each q the walk reaches
-goes through :func:`_fits`, the one exact integer test of every item, so
-the answers are those of a full scan.  The test reads only the distance
-xd * ||q*x_i||, so a q costs one remainder per item until an item
-rejects it, and :func:`_solution`, the one builder of a scan's answer,
-computes the numerators for the q returned only.  The first item tested,
-which rejects most q, compares that remainder with its own window on the
-block before the exact test, so most q cost a remainder and two
-compares.  A walk starts at the last hit at or below its lower end,
-which a Euclid-style descent finds in O(log xd) steps, so its cost does
-not grow with the q below its range.
+test can accept.  The gaps of a block are the steps farey._steps reads
+off the Stern-Brocot descent on the pivot, the one descent of the
+package, off which compose_solve's Farey brackets are read too.  A scan
+starts that descent once (farey._descent) and farey._steps extends it
+only as deep as the narrowest window needs, so a sweep descends the
+pivot once for all its points.  :func:`_plan` sets up every scan: the
+items' integer parts in test order and the descent on the pivot.  Each q
+the walk reaches goes through :func:`_fits`, the one exact integer test
+of every item, so the answers are those of a full scan.  The test reads
+only the distance xd * ||q*x_i||, so a q costs one remainder per item
+until an item rejects it, and :func:`_solution`, the one builder of a
+scan's answer, computes the numerators for the q returned only.  The
+first item tested, which rejects most q, compares that remainder with
+its own window on the block before the exact test, so most q cost a
+remainder and two compares.  A walk starts at the last hit at or below
+its lower end, which a Euclid-style descent finds in O(log xd) steps, so
+its cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
-from .farey import _bracket, _deepen, _descent
+from .farey import _bracket, _descent, _steps
 from .rationals import _PRINT_LIMIT
 
 #: Default cap on exhaustive denominator scans.
@@ -258,33 +257,6 @@ def _first_in_window(a: int, b: int, m: int, w: int) -> int | None:
     for a, b, m in reversed(rounds):
         j = ((j + 1) * m - b + w - 1) // a
     return j
-
-
-def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int, int, int]:
-    """(q1, u, q2, v) of the first level of the descent with u < w and v < w.
-
-    Each step of the descent (farey._deepen) takes the larger of u and v
-    below the smaller, and its last step goes to q1 = q2 = xd with
-    u = v = 0 (for w = 1 the hits are the multiples of xd).  So levels
-    whose smaller residue is >= w are passed whole, and the first level
-    whose smaller residue is < w needs at most one partial step: the
-    fewest steps of the smaller that take the larger below w.  ``path``
-    (from farey._descent) keeps the levels found so far and is extended
-    in place only as deep as w needs, so the callers that walk one target
-    with many windows take each level's step once.
-    """
-    while path[-1][0] <= -w:
-        _deepen(path)
-    # The key -min(u, v) of the first level with min(u, v) < w is >= 1 - w,
-    # and a longer tuple sorts after its prefix (1 - w,).
-    _, q1, u, q2, v = path[bisect_left(path, (1 - w,))]
-    if u >= w:
-        j = (u - w) // v + 1
-        q1, u = q1 + j * q2, u - j * v
-    elif v >= w:
-        j = (v - w) // u + 1
-        q2, v = q2 + j * q1, v - j * u
-    return q1, u, q2, v
 
 
 def _fits(items: Sequence[tuple[int, int, int, int, int]], q: int) -> bool:
@@ -493,15 +465,15 @@ def brute_force_solve(
 
 def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
     # Nearest endpoint of the Farey bracketing of frac(y) at the given
-    # order, shifted back by floor(y); ties go to the smaller value.  The
-    # endpoints lie u/(yd*q1) below y and v/(yd*q2) above it.
+    # order, shifted back by floor(y): p1/q1 when y is at or below the
+    # midpoint of the bracket, so ties go to the smaller value.
     yn, yd = y.numerator, y.denominator
     if yd <= order:
         return yn, yd
-    q1, u, q2, v = _bracket(yn, yd, order)
-    if u * q2 <= v * q1:
-        return (yn * q1 - u) // yd, q1
-    return (yn * q2 + v) // yd, q2
+    p1, q1, p2, q2 = _bracket(yn, yd, order)
+    if 2 * yn * q1 * q2 <= yd * (p1 * q2 + p2 * q1):
+        return p1, q1
+    return p2, q2
 
 
 def compose_solve(cs: ConstraintSet, epsilon: Fraction) -> Solution:

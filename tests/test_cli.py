@@ -376,6 +376,16 @@ def test_solve_malformed_input(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "text, lineno", [("sqrt2 0\n", 1), ("sqrt3 1\nphi -1/2\n", 2)], ids=["zero", "negative"]
+)
+def test_constraint_file_rejects_a_non_positive_weight(tmp_path, capsys, text, lineno):
+    path = write(tmp_path, "weights.txt", text)
+    assert invoke(capsys, ["solve", "--input", path, "--epsilon", "1/8"]) == (
+        1, "", f"error: {path}:{lineno}: tolerance weight must be positive\n"
+    )
+
+
 def test_solve_missing_file(capsys):
     code, out, err = invoke(capsys, ["solve", "--input", "no-such-file.txt", "--epsilon", "1/10"])
     assert code == 1 and out == "" and err != ""
@@ -415,6 +425,21 @@ def test_dirichlet_command(tmp_path, capsys):
     assert obj["method"] == "dirichlet"
     assert obj["T"] == 3
     assert obj["q"] == 2
+
+
+def test_dirichlet_reports_a_contradicted_pigeonhole_as_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    # A scan that finds no q where the pigeonhole argument guarantees one
+    # is a fault of the program, not an infeasible input.
+    monkeypatch.setattr(simultaneous, "_first_fit", lambda *args: None)
+    path = write(tmp_path, "roots.txt", "sqrt2 1\nsqrt3 1\n")
+    assert invoke(capsys, ["dirichlet", "--input", path, "--T", "10"]) == (
+        1,
+        "",
+        "internal error: no q in 1..99 with all distances <= 1/10; "
+        "this contradicts the pigeonhole guarantee for exact inputs\n",
+    )
 
 
 def test_sweep_json_and_exit_codes(tmp_path, capsys):

@@ -270,6 +270,34 @@ def test_verify_properties_order_1_skips_denominator_rule():
     assert report.adjacent_unimodular.checked == 1
 
 
+@pytest.mark.parametrize("extra", [(), ((3, 4),)], ids=["three_dropped", "also_3_4"])
+def test_verify_properties_reports_first_counterexamples(monkeypatch, extra):
+    # F_5 without 1/5, 1/4 and 1/2: every law fails, and each check names
+    # the terms of its first counterexample.  Dropping 3/4 as well adds
+    # later counterexamples of the unimodular and mediant laws, which
+    # change nothing but the counts.
+    pairs = farey._farey_pairs
+    dropped = {(1, 5), (1, 4), (1, 2), *extra}
+
+    def corrupted(order, *window):
+        return (t for t in pairs(order, *window) if t not in dropped)
+
+    monkeypatch.setattr(farey, "_farey_pairs", corrupted)
+    report = verify_farey_properties(5)
+    assert not report.all_passed
+    found = {
+        name: (check.passed, check.checked, check.counterexample, check.skipped)
+        for name, check in report.checks()
+    }
+    n = 7 - len(extra)
+    assert found == {
+        "adjacent_unimodular": (False, n, "2/5, 3/5", False),
+        "mediant_of_neighbors": (False, n - 1, "1/3, 2/5, 3/5", False),
+        "denominator_sum_exceeds_order": (False, n, "0/1, 1/3", False),
+        "distinct_adjacent_denominators": (False, n, "2/5, 3/5", False),
+    }
+
+
 def test_verify_properties_order_50():
     report = verify_farey_properties(50)
     assert report.all_passed

@@ -77,6 +77,25 @@ def test_gap_checks_read_the_ascending_index(monkeypatch):
     assert _gap_identity_checks([(UNIT, 3, 0)]) == (4, [])
 
 
+@pytest.mark.parametrize(
+    "name, label",
+    [
+        ("descending_step_gap", "descending step gap, base 0,1, i=3"),
+        ("descending_tail_gap", "descending tail gap, base 0,1, i=3"),
+        ("ascending_step_gap", "ascending step gap, base 0,1, j=3"),
+        ("ascending_tail_gap", "ascending tail gap, base 0,1, j=3"),
+    ],
+)
+def test_gap_checks_report_each_broken_form_alone(monkeypatch, name, label):
+    # One closed form wrong at index 3: the checks report it alone, by its
+    # name and its own index (i for the descending forms, j for the
+    # ascending ones), and a triple with that index on the other side
+    # passes.
+    true_gap = getattr(mediants, name)
+    monkeypatch.setattr(mediants, name, lambda base, k: true_gap(base, k) + (k == 3))
+    assert _gap_identity_checks([(UNIT, 3, 0), (UNIT, 0, 3)]) == (8, [label])
+
+
 def test_gap_examples():
     assert descending_step_gap(UNIT, 0) == F(1, 2)
     assert descending_step_gap(THIRD_HALF, 1) == F(1, 40)
