@@ -41,10 +41,11 @@ only the distance xd * ||q*x_i||, so a q costs one remainder per item
 until an item rejects it, and :func:`_solution`, the one builder of a
 scan's answer, computes the numerators for the q returned only.  The
 first item tested, which rejects most q, compares that remainder with
-its own window on the block before the exact test, so most q cost a
-remainder and two compares.  A walk starts at the last hit at or below
-its lower end, which a Euclid-style descent finds in O(log xd) steps, so
-its cost does not grow with the q below its range.
+its own window on the block before the exact test, and the walk carries
+the remainder from hit to hit, adding the remainder of the gap taken,
+so most q cost an addition and two compares.  A walk starts at the last
+hit at or below its lower end, which a Euclid-style descent finds in
+O(log xd) steps, so its cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
@@ -303,10 +304,18 @@ def _first_fit(
     hits, so there is one), and it carries into each later block the last
     hit of the blocks before.  A wider window can take in a q between
     that hit and the block's start; such a q missed its own block's
-    window, so it fails the pivot's exact test.  The first item, which
-    rejects most candidates, gets its own block window fh first: a hit
-    with fh < r < xd - fh, r its remainder, is rejected by two compares
-    against per-block integers, and only the others pay the exact test.
+    window, so it fails the pivot's exact test.  A block that the shorter
+    of the first two gaps already steps past holds no hit past the
+    carried q, and is passed without the set-up below.  The first
+    item, which rejects most candidates, gets its own block window fh
+    first: a hit with fh < r < xd - fh, r its remainder, is rejected by
+    two compares against per-block integers, and only the others pay the
+    exact test.  r is seeded once per block at the carried q and then
+    carried: each of the three gaps moves it by its own residue step
+    (the first item's remainders of q1, q2 and q1 + q2, computed once per
+    block), and a sum past xd wraps with one subtraction.  So the walk
+    offers the same q, and makes the same exact tests, as one that took
+    a remainder at every hit.
     """
     if lo > hi:
         return None
@@ -316,8 +325,8 @@ def _first_fit(
         return None
     pn, pd, pa, pc, pden = items[-1]
     fn, fd, fa, fc, fden = items[0]
-    q, k = None, (lo + 1).bit_length() - 1
-    while 1 << k <= hi:
+    q = None
+    for k in range((lo + 1).bit_length() - 1, hi.bit_length()):
         last = min((2 << k) - 1, hi)
         h = (pa * last + pc) // pden
         w = 2 * h + 1
@@ -325,27 +334,36 @@ def _first_fit(
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
         # the first whose residue moves back by v < w.
         q1, u, q2, v = _steps(path, w) if w < pd else (1, 0, 1, 0)
-        fh = (fa * last + fc) // fden
-        top = fd - fh
         if q is None:
             # Walking back from lo moves the residue by -pn per step.
             q = lo - _first_in_window(-pn, pn * lo + h, pd, w)
+        if q + q1 > last and q + q2 > last:
+            # Each step is q1, q2 or q1 + q2: the block holds no hit past q.
+            continue
+        fh = (fa * last + fc) // fden
+        top = fd - fh
         s = (pn * q + h) % pd
+        # The first item's residue r = fn*q mod fd moves by f1, f2 or f3,
+        # that of the step taken, each below fd, so one subtraction wraps it.
+        r = fn * q % fd
+        f1, f2 = fn * q1 % fd, fn * q2 % fd
+        f3 = (f1 + f2) % fd
         while True:
             # Three-gap rule: u + v >= w, so at most one of s + u and s - v
             # stays in the window; when neither does, s + u - v does.
             if s + u < w:
-                step, s = q1, s + u
+                step, s, r = q1, s + u, r + f1
             elif s >= v:
-                step, s = q2, s - v
+                step, s, r = q2, s - v, r + f2
             else:
-                step, s = q1 + q2, s + u - v
+                step, s, r = q1 + q2, s + u - v, r + f3
             if q + step > last:
                 break
             q += step
-            if not fh < fn * q % fd < top and _fits(items, q):
+            if r >= fd:
+                r -= fd
+            if not fh < r < top and _fits(items, q):
                 return q
-        k += 1
     return None
 
 

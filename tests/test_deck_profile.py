@@ -1,0 +1,51 @@
+"""tools/deck_profile.py: one workload's deck, timed request by request."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "deck_profile.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("deck_profile", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_deck_profile_lists_every_stratum():
+    # One pass over the sweep deck: every answer checks out, and each
+    # stratum of the deck gets its line before the slowest requests.
+    deck = load_tool().load_workloads().DECKS["sweep"]
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "sweep", "--seed", "1", "--passes", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    table, slowest = proc.stdout.split("\nslowest 10 requests\n")
+    rows = table.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == list(deck)
+    assert [int(row.split()[1]) for row in rows] == list(deck.values())
+    assert len(slowest.splitlines()) == 1 + 10
+
+
+def test_a_wrong_answer_exits_1(monkeypatch, capsys):
+    # workloads.check reports a problem: it is printed and the exit code
+    # is 1, with no timing table.
+    tool = load_tool()
+    load = tool.load_workloads
+
+    def failing_check():
+        workloads = load()
+        workloads.check = lambda fa, req, result: f"{req.id}: wrong"
+        return workloads
+
+    monkeypatch.setattr(tool, "load_workloads", failing_check)
+    assert tool.main(["--workload", "farey-cli", "--passes", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("problem: fc-") and "stratum" not in out

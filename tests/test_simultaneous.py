@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -572,6 +573,100 @@ def test_first_fit_equals_linear_scan(scan):
     assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
 
 
+@st.composite
+def multi_block_scans(draw):
+    # Ranges that cross one to three doubling-block edges past lo, with
+    # oracle-style bounds (a = m*xd, c = 0 or -1), so the first item's
+    # carried residue, a 64-digit stand-in's, is re-seeded at each block.
+    # The pivot, last, is a stand-in too or a small rational whose window
+    # can cover every residue (the walk then steps by 1).
+    lo = draw(st.integers(1, 2000))
+    hi = draw(st.integers(2 * lo, 8 * lo))
+    first = draw(st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)))
+    middle = draw(st.lists(st.one_of(
+        st.sampled_from(STANDINS_64),
+        st.integers(1, 10**6).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
+    ), max_size=2))
+    pivot = draw(st.one_of(
+        st.sampled_from(STANDINS_64),
+        st.integers(1, 60).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
+    ))
+    # den is hi * 2**j plus up to hi more, with j drawn uniformly, so at hi
+    # the pivot's window covers from about 1/5 of the residues to all of
+    # them, the first item's from 1/256 and the others' from 1/1024: the
+    # walk offers many hits per block, and a fit can be rare.
+    shifts = [draw(st.sampled_from(range(10))), *[draw(st.sampled_from(range(12))) for _ in middle]]
+    shifts.append(draw(st.sampled_from(range(4))))
+    dens = [(hi << j) + draw(st.integers(0, hi)) for j in shifts]
+    items = []
+    for x, den in zip([first, *middle, pivot], dens):
+        xn, xd = x.numerator, x.denominator
+        items.append((xn, xd, draw(st.integers(1, 4)) * xd, draw(st.sampled_from([0, -1])), den))
+    return items, lo, hi
+
+
+def walked_hits(items, lo, hi):
+    # The q a walk puts through the exact test, found by looking at every
+    # q: lo, then block by block each q past the last hit so far (q = 0
+    # hits every window) that hits the block's pivot window and the first
+    # item's window, up to the first that fits every item.
+    def dist(item, q):
+        return min(item[0] * q % item[1], -item[0] * q % item[1])
+
+    def half(item, b):
+        return (item[2] * b + item[3]) // item[4]
+
+    def fits(q):
+        return all(dist(item, q) * item[4] <= item[2] * q + item[3] for item in items)
+
+    seen = [lo]
+    if fits(lo):
+        return seen
+    q = None
+    for k in range((lo + 1).bit_length() - 1, hi.bit_length()):
+        last = min((2 << k) - 1, hi)
+        h, fh = half(items[-1], last), half(items[0], last)
+        if q is None:
+            q = next(j for j in range(lo, -1, -1) if dist(items[-1], j) <= h)
+        for j in range(q + 1, last + 1):
+            if dist(items[-1], j) <= h:
+                q = j
+                if dist(items[0], j) <= fh:
+                    seen.append(j)
+                    if fits(j):
+                        return seen
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_block_scans())
+def test_first_fit_carries_the_first_residue_across_blocks(scan):
+    # The answer is that of a linear scan of the exact integer test, and
+    # the q that reach the exact test are exactly those inside both block
+    # windows, so a residue carried wrong shows even where it only lets
+    # more q through.
+    items, lo, hi = scan
+    expected = next(
+        (
+            q
+            for q in range(lo, hi + 1)
+            if all(min(xn * q % xd, -xn * q % xd) * den <= a * q + c for xn, xd, a, c, den in items)
+        ),
+        None,
+    )
+    seen = []
+    fits = simultaneous._fits
+
+    def counting(items, q):
+        seen.append(q)
+        return fits(items, q)
+
+    xn, xd, *_ = items[-1]
+    with mock.patch.object(simultaneous, "_fits", counting):
+        assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
+    assert seen == walked_hits(items, lo, hi)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(1, 400).flatmap(
@@ -678,6 +773,29 @@ def test_oracle_walk_yields_a_pinned_count(visited):
     # as it is; a walk that skips candidates must change it.
     assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
     assert len(visited) == 20
+
+
+def test_wide_first_window_walk_yields_a_pinned_count(visited):
+    # The benchmark's heaviest request shape (sm-0183 in perfbench's pool):
+    # n = 6 with t_min = 1/2, so in the last block walked the pivot's
+    # window and the first item's each cover about a fifth of the
+    # residues, ten times the share of the first item's window on the
+    # instance above.  The walk crosses 16 doubling blocks and
+    # carries the first item's residue through the 8 of them that hold a
+    # hit (q from 512 on); lo and 2,068 hits reach the exact test before
+    # q = 109,400 fits.
+    xs = [
+        "5299851110199324195/8640886836227398636",
+        "7734127199133044991/6133749506545074136",
+        "2409750016246296547/8103628391678301953",
+        "sqrt2",
+        "2132935241429405043/6579173893685129313",
+        "e",
+    ]
+    ts = ["1", "1/2", "1/2", "1", "1/2", "1/2"]
+    c = cs(*[(parse_real(x, 64), F(t)) for x, t in zip(xs, ts)])
+    sol = brute_force_solve(c, F(1, 663910))
+    assert (sol.q, len(visited)) == (109400, 2069)
 
 
 def test_sweep_descends_the_pivot_once(monkeypatch):
