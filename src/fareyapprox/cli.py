@@ -434,6 +434,9 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout is gone (as in `| head`): a quiet end.
+        return 1
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
@@ -449,4 +452,12 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # What is left in the buffer has no reader; point stdout at devnull
+        # so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

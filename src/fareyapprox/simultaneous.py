@@ -27,8 +27,11 @@ of the rotation q -> q*x mod 1 to an interval, which by the three-gap
 theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 :func:`_first_fit`, the one scan of the oracle, the sweep and the
 baseline, steps from one such q to the next in a few integer operations,
-with a window per doubling block of q that contains every q the exact
-test can accept.  The gaps of a block are the steps farey._steps reads
+with a window per block of q that contains every q the exact test can
+accept.  The blocks have one length, set by how fast the window widens
+so that a block's window takes in about eight more q than the windows
+of its q's own would (one block for the baseline's fixed window).  The
+gaps of a block are the steps farey._steps reads
 off the Stern-Brocot descent on the pivot, the one descent of the
 package, off which compose_solve's Farey brackets are read too.  A scan
 starts that descent once (farey._descent) and farey._steps extends it
@@ -64,6 +67,10 @@ DEFAULT_MAX_SCAN = 10_000_000
 
 # Cap on the common denominator that compose_solve builds stage by stage.
 _MAX_COMPOSE_DENOMINATOR = 10**30
+
+# Hits per block that _first_fit's block length lets a block walk beyond
+# those of per-q windows: about one block's set-up cost, in hits.
+_BLOCK_EXCESS = 8
 
 
 @record
@@ -289,33 +296,43 @@ def _first_fit(
     den >= 1 and a*b + c >= 0 at every block end b below (so c = -1 with
     a >= 1, a strict bound, is allowed).  lo is tested first.  The other
     candidates are the q above it whose pivot, the last item, lies in its
-    window: a*q + c does not decrease in q, so on the doubling block
-    [2**k, 2**(k+1) - 1] ending at b (at most hi) a q that fits the pivot
-    has xd * ||q*x|| <= h = (a*b + c) // den, and no fit is missed.  h
-    does not decrease in b, so a hit of one block's window is a hit of the
-    next block's.  ``path`` is the pivot's descent (farey._descent),
-    shared with the caller's other scans.
+    window: a*q + c does not decrease in q, so on a block of q ending at b
+    (at most hi) a q that fits the pivot has xd * ||q*x|| <= h =
+    (a*b + c) // den, and no fit is missed.  h does not decrease in b, so
+    a hit of one block's window is a hit of the next block's, and any
+    partition of lo+1..hi into blocks gives the same answer.
+
+    The blocks have one length L from lo + 1, the last cut at hi.  A block
+    that takes its end's window for every q walks about a*L**2/(den*xd)
+    hits of the pivot that the window of each q's own would not, so
+    L = isqrt(K*den*xd // a) + 1, K = _BLOCK_EXCESS, keeps that excess
+    near K hits, about one block's set-up, while a full block offers at
+    least about 2*K.  A fixed window (a = 0, the Dirichlet bound) is one
+    block.  For the oracle's items, a/(den*xd) = eps*t and an item fits
+    every q >= 1/(2*eps*t), since xd * ||q*x|| <= xd/2; the pivot has the
+    smallest t, so a scan ends by q = ceil(1/(2*eps*t_pivot)), and as L >
+    sqrt(K/(eps*t_pivot)) it walks at most ceil(1/(2*sqrt(K*eps*t_pivot)))
+    blocks.  ``path`` is the pivot's descent (farey._descent), shared with
+    the caller's other scans.
 
     The hits of a window follow each other by one of three gaps (Sós
     1958), read off ``path`` once per block by :func:`_steps`; once the
     window covers every residue, the gap is 1.  The walk starts in the
-    block that holds lo + 1, at the last hit at or below lo, which
+    first block at the last hit at or below lo, which
     :func:`_first_in_window` finds by walking back from lo (q = 0 always
     hits, so there is one), and it carries into each later block the last
     hit of the blocks before.  A wider window can take in a q between
     that hit and the block's start; such a q missed its own block's
-    window, so it fails the pivot's exact test.  A block that the shorter
-    of the first two gaps already steps past holds no hit past the
-    carried q, and is passed without the set-up below.  The first
-    item, which rejects most candidates, gets its own block window fh
-    first: a hit with fh < r < xd - fh, r its remainder, is rejected by
-    two compares against per-block integers, and only the others pay the
-    exact test.  r is seeded once per block at the carried q and then
-    carried: each of the three gaps moves it by its own residue step
-    (the first item's remainders of q1, q2 and q1 + q2, computed once per
-    block), and a sum past xd wraps with one subtraction.  So the walk
-    offers the same q, and makes the same exact tests, as one that took
-    a remainder at every hit.
+    window, so it fails the pivot's exact test.  The first item, which
+    rejects most candidates, gets its own block window fh first: a hit
+    with fh < r < xd - fh, r its remainder, is rejected by two compares
+    against per-block integers, and only the others pay the exact test.
+    r is seeded once per block at the carried q and then carried: each of
+    the three gaps moves it by its own residue step (the first item's
+    remainders of q1, q2 and q1 + q2, computed once per block), and a sum
+    past xd wraps with one subtraction.  So the walk offers the same q,
+    and makes the same exact tests, as one that took a remainder at every
+    hit.
     """
     if lo > hi:
         return None
@@ -325,9 +342,10 @@ def _first_fit(
         return None
     pn, pd, pa, pc, pden = items[-1]
     fn, fd, fa, fc, fden = items[0]
+    size = math.isqrt(_BLOCK_EXCESS * pden * pd // pa) + 1 if pa else hi - lo
     q = None
-    for k in range((lo + 1).bit_length() - 1, hi.bit_length()):
-        last = min((2 << k) - 1, hi)
+    for first in range(lo + 1, hi + 1, size):
+        last = min(first + size - 1, hi)
         h = (pa * last + pc) // pden
         w = 2 * h + 1
         # Shifted residues s = (pn*q + h) mod pd put the window at 0..w-1.
@@ -337,9 +355,6 @@ def _first_fit(
         if q is None:
             # Walking back from lo moves the residue by -pn per step.
             q = lo - _first_in_window(-pn, pn * lo + h, pd, w)
-        if q + q1 > last and q + q2 > last:
-            # Each step is q1, q2 or q1 + q2: the block holds no hit past q.
-            continue
         fh = (fa * last + fc) // fden
         top = fd - fh
         s = (pn * q + h) % pd

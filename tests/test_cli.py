@@ -118,6 +118,35 @@ def test_farey_listing_stops_at_to():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0/1\n1/300000\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["farey", "--order", "100000"], [b"0/1\n", b"1/100000\n"]),
+        (["neighbors", "--x", "5/16", "--order", "7"], []),
+    ],
+)
+def test_cli_ends_quietly_when_stdout_closes(argv, head):
+    # A reader that takes the head of the output and closes the pipe ends
+    # the CLI with exit code 1 and nothing on stderr.  F_100000 has about
+    # 3*10**9 terms, so the listing meets the closed pipe at a write; the
+    # neighbors line, shorter than stdout's buffer, meets it at the flush
+    # that would otherwise fail again at the interpreter's exit.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fareyapprox", *argv],
+        env={**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    lines = [proc.stdout.readline() for _ in head]
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert (lines, proc.returncode, stderr) == (head, 1, b"")
+
+
 def chunked_windows(terms):
     # The CLI writes the listing 4096 terms at a time.  Ends on a chunk
     # edge, next to one and between terms; hi < lo; ends outside [0, 1].

@@ -1,9 +1,12 @@
 """tools/deck_profile.py: one workload's deck, timed request by request."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "deck_profile.py"
@@ -32,6 +35,28 @@ def test_sweep_deck_profile_lists_every_stratum():
     assert [row.split()[0] for row in rows] == list(deck)
     assert [int(row.split()[1]) for row in rows] == list(deck.values())
     assert len(slowest.splitlines()) == 1 + 10
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_ends_quietly(unbuffered):
+    # The reader closes the pipe before the table is printed: the tool
+    # exits 1 with nothing on stderr, whether its stdout is buffered (the
+    # table meets the closed pipe at the flush) or not (at the first line).
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), "--workload", "farey-cli", "--passes", "1"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, stderr) == (1, b"")
 
 
 def test_a_wrong_answer_exits_1(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import random
@@ -400,9 +401,8 @@ def test_window_hits_equal_linear_filter(walk):
 
 
 def per_block_steps(xn, xd, w):
-    # The descent as each doubling block ran it before blocks shared one:
-    # from the root every time.  Returns (q1, u, q2, v) and its number of
-    # batched steps.
+    # The descent from the root, as a block would run it without a shared
+    # path.  Returns (q1, u, q2, v) and its number of batched steps.
     q1, u, q2, v = 1, xn % xd, 1, xd - xn % xd
     count = 0
     while u >= w or v >= w:
@@ -515,22 +515,27 @@ def test_walks_sharing_a_descent_equal_linear_filter(case):
         assert listed_fits([(xn, xd, a, c, den)], lo, hi, path) == expected
 
 
+_SMALL_OR_FAR = st.one_of(
+    st.integers(1, 300),
+    st.integers(1, 40).flatmap(lambda k: st.integers(max(1, (1 << k) - 8), 1 << k)),
+)
+
+
 @st.composite
-def fit_scans(draw):
+def fit_scans(draw, los=_SMALL_OR_FAR, span=400):
     # Small even denominators give exact ties, 2*d == xd, where the
     # numerator goes to the smaller p, and 64-digit stand-ins give long
     # remainders.  Each item is drawn on its own, so they come in any
     # order, as the pivot order puts them, with oracle-style bounds (a > 0,
     # and c = 0 or c = -1, the strict bound of a record walk) or
     # Dirichlet-style ones (a = 0, c > 0).  lo > 1 is where a sweep point
-    # starts; a lo at or just below a power of two puts a doubling-block
-    # edge, where the first item's window widens, near the start of the
-    # range.  A den up to 64*(hi + 1) keeps some windows narrow at every q.
-    lo = draw(st.one_of(
-        st.integers(1, 300),
-        st.integers(1, 40).flatmap(lambda k: st.integers(max(1, (1 << k) - 8), 1 << k)),
-    ))
-    hi = draw(st.integers(lo - 1, lo + 400))
+    # starts, and a lo up to 2**40 starts the walk far above q = 0.  The
+    # pivot's blocks are about sqrt(8*den*xd/a) long: a den from 1 makes
+    # them as short as 2, so a range crosses many block ends, where the
+    # windows widen, and a den up to 64*(hi + 1) keeps some windows narrow
+    # at every q.
+    lo = draw(los)
+    hi = draw(st.integers(lo - 1, lo + span))
     n = draw(st.integers(1, 4))
     oracle = draw(st.booleans())
     items = []
@@ -573,10 +578,35 @@ def test_first_fit_equals_linear_scan(scan):
     assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
 
 
+def first_linear_fit(items, lo, hi):
+    # The exact integer test at every q of lo..hi; d is the same for
+    # either nearest numerator.
+    return next(
+        (
+            q
+            for q in range(lo, hi + 1)
+            if all(min(xn * q % xd, -xn * q % xd) * den <= a * q + c for xn, xd, a, c, den in items)
+        ),
+        None,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_scans(st.integers(1, 10**6), 20_000))
+def test_first_fit_equals_linear_scan_up_to_a_million(scan):
+    # lo up to 10**6 and ranges up to 20,000 long: the blocks run from
+    # lo + 1, and at such q a block with a narrow window is thousands long.
+    items, lo, hi = scan
+    expected = first_linear_fit(items, lo, hi)
+    xn, xd, *_ = items[-1]
+    assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
+
+
 @st.composite
 def multi_block_scans(draw):
-    # Ranges that cross one to three doubling-block edges past lo, with
-    # oracle-style bounds (a = m*xd, c = 0 or -1), so the first item's
+    # Ranges that cross from none to some tens of block ends past lo (a
+    # block is about sqrt(8*den/m) long for the pivot's den and a = m*xd
+    # below), with oracle-style bounds (c = 0 or -1), so the first item's
     # carried residue, a 64-digit stand-in's, is re-seeded at each block.
     # The pivot, last, is a stand-in too or a small rational whose window
     # can cover every residue (the walk then steps by 1).
@@ -605,11 +635,21 @@ def multi_block_scans(draw):
     return items, lo, hi
 
 
+def block_ends(items, lo, hi):
+    # The blocks of _first_fit's walk: from lo + 1, equal lengths
+    # isqrt(K*den*xd // a) + 1 of the pivot's bound, K = _BLOCK_EXCESS,
+    # the last cut at hi; one block when the pivot's window is fixed.
+    xd, a, den = items[-1][1], items[-1][2], items[-1][4]
+    size = math.isqrt(simultaneous._BLOCK_EXCESS * den * xd // a) + 1 if a else hi - lo
+    return [min(first + size - 1, hi) for first in range(lo + 1, hi + 1, size)]
+
+
 def walked_hits(items, lo, hi):
     # The q a walk puts through the exact test, found by looking at every
     # q: lo, then block by block each q past the last hit so far (q = 0
     # hits every window) that hits the block's pivot window and the first
-    # item's window, up to the first that fits every item.
+    # item's window, each taken at the block's end, up to the first that
+    # fits every item.
     def dist(item, q):
         return min(item[0] * q % item[1], -item[0] * q % item[1])
 
@@ -623,8 +663,7 @@ def walked_hits(items, lo, hi):
     if fits(lo):
         return seen
     q = None
-    for k in range((lo + 1).bit_length() - 1, hi.bit_length()):
-        last = min((2 << k) - 1, hi)
+    for last in block_ends(items, lo, hi):
         h, fh = half(items[-1], last), half(items[0], last)
         if q is None:
             q = next(j for j in range(lo, -1, -1) if dist(items[-1], j) <= h)
@@ -640,20 +679,27 @@ def walked_hits(items, lo, hi):
 
 @settings(max_examples=200, deadline=None)
 @given(multi_block_scans())
+# 12 blocks of isqrt(8 * 32005) + 1 = 507 are walked to q = 6,723, where
+# lo and 26 hits inside both windows have reached the exact test.
+@example((
+    [
+        (x.numerator, x.denominator, m * x.denominator, c, (8000 << j) + extra)
+        for x, m, c, j, extra in [
+            (-STANDINS_64[3], 1, 0, 6, 17),
+            (STANDINS_64[2], 2, -1, 5, 300),
+            (STANDINS_64[4], 1, 0, 2, 5),
+        ]
+    ],
+    1000,
+    8000,
+))
 def test_first_fit_carries_the_first_residue_across_blocks(scan):
     # The answer is that of a linear scan of the exact integer test, and
     # the q that reach the exact test are exactly those inside both block
     # windows, so a residue carried wrong shows even where it only lets
     # more q through.
     items, lo, hi = scan
-    expected = next(
-        (
-            q
-            for q in range(lo, hi + 1)
-            if all(min(xn * q % xd, -xn * q % xd) * den <= a * q + c for xn, xd, a, c, den in items)
-        ),
-        None,
-    )
+    expected = first_linear_fit(items, lo, hi)
     seen = []
     fits = simultaneous._fits
 
@@ -758,8 +804,8 @@ def six_constants():
 
 
 def test_oracle_visits_few_denominators(visited):
-    # Walking the item with the smallest t offers about 2*t_min**2 = 2% of
-    # the range, where the first item (t = 1) would offer 20% and a full
+    # Walking the item with the smallest t offers about t_min**2 = 1% of
+    # the range, where the first item (t = 1) would offer 10% and a full
     # scan all of it; the first item's window leaves few of those for the
     # exact test.
     assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
@@ -768,22 +814,23 @@ def test_oracle_visits_few_denominators(visited):
 
 def test_oracle_walk_yields_a_pinned_count(visited):
     # The exact number of q that reach the exact test on the instance
-    # above: lo, and 19 of the 1,259 q the pivot's walk offers, the ones
-    # inside the first item's window too.  A cheaper exact test leaves it
-    # as it is; a walk that skips candidates must change it.
+    # above: lo, and 13 of the 1,088 q the pivot's walk offers in its 12
+    # blocks of isqrt(8 * 10**7) + 1 = 8,945, the ones inside the first
+    # item's window too.  A cheaper exact test leaves it as it is; a walk
+    # that skips candidates must change it.
     assert isinstance(brute_force_solve(six_constants(), F(1, 10**6)), Infeasible)
-    assert len(visited) == 20
+    assert len(visited) == 14
 
 
 def test_wide_first_window_walk_yields_a_pinned_count(visited):
     # The benchmark's heaviest request shape (sm-0183 in perfbench's pool):
     # n = 6 with t_min = 1/2, so in the last block walked the pivot's
-    # window and the first item's each cover about a fifth of the
-    # residues, ten times the share of the first item's window on the
-    # instance above.  The walk crosses 16 doubling blocks and
-    # carries the first item's residue through the 8 of them that hold a
-    # hit (q from 512 on); lo and 2,068 hits reach the exact test before
-    # q = 109,400 fits.
+    # window and the first item's each cover about a sixth of the
+    # residues, eight times the share of the first item's window on the
+    # instance above.  The walk crosses 34 blocks of
+    # isqrt(8 * 663910 * 2) + 1 = 3,260 and carries the first item's
+    # residue through each; lo and 1,037 of its 9,286 hits reach the
+    # exact test before q = 109,400 fits.
     xs = [
         "5299851110199324195/8640886836227398636",
         "7734127199133044991/6133749506545074136",
@@ -795,16 +842,31 @@ def test_wide_first_window_walk_yields_a_pinned_count(visited):
     ts = ["1", "1/2", "1/2", "1", "1/2", "1/2"]
     c = cs(*[(parse_real(x, 64), F(t)) for x, t in zip(xs, ts)])
     sol = brute_force_solve(c, F(1, 663910))
-    assert (sol.q, len(visited)) == (109400, 2069)
+    assert (sol.q, len(visited)) == (109400, 1038)
+
+
+@contextlib.contextmanager
+def recorded_windows():
+    # The window of every _steps call, in order: one per block whose
+    # window misses some residue.
+    windows = []
+    steps = simultaneous._steps
+
+    def recording_steps(path, w):
+        windows.append(w)
+        return steps(path, w)
+
+    with mock.patch.object(simultaneous, "_steps", recording_steps):
+        yield windows
 
 
 def test_sweep_descends_the_pivot_once(monkeypatch):
     # Every block of every point reads its steps off one descent on the
     # pivot, which takes each level's batched step once for the whole
-    # sweep: 10 levels below the root, where a descent from the root in
-    # each of the 19 blocks walked takes 140 batched steps.
-    paths, windows = [], []
-    descent, steps = simultaneous._descent, simultaneous._steps
+    # sweep: 7 levels below the root, where a descent from the root in
+    # each of the 18 blocks walked takes 111 batched steps.
+    paths = []
+    descent = simultaneous._descent
 
     class CountingPath(list):
         appends = 0
@@ -817,21 +879,17 @@ def test_sweep_descends_the_pivot_once(monkeypatch):
         paths.append(CountingPath(descent(xn, xd)))
         return paths[-1]
 
-    def recording_steps(path, w):
-        windows.append(w)
-        return steps(path, w)
-
     monkeypatch.setattr(simultaneous, "_descent", counting_descent)
-    monkeypatch.setattr(simultaneous, "_steps", recording_steps)
     c = six_constants()
-    rep = epsilon_threshold(c, [F(1, 10**k) for k in range(3, 7)])
+    with recorded_windows() as windows:
+        rep = epsilon_threshold(c, [F(1, 10**k) for k in range(3, 7)])
     assert rep.feasible == (False,) * 4
     [path] = paths
     assert path.appends == len(path) - 1 == len(set(path)) - 1
     pivot = c.items[1][0]  # sqrt3, the first item with the smallest weight
     per_block = [per_block_steps(pivot.numerator, pivot.denominator, w)[1] for w in windows]
     assert len(path) - 1 <= max(per_block)
-    assert (len(path) - 1, len(windows), sum(per_block)) == (10, 19, 140)
+    assert (len(path) - 1, len(windows), sum(per_block)) == (7, 18, 111)
 
 
 def test_dirichlet_walk_yields_a_pinned_count(visited):
@@ -841,6 +899,36 @@ def test_dirichlet_walk_yields_a_pinned_count(visited):
     # window too, and lo = 1 is tested first.
     sol = dirichlet_solve(six_constants().xs, 10)
     assert (sol.q, len(visited)) == (2105, 85)
+
+
+def test_dirichlet_scan_reads_its_steps_once():
+    # The Dirichlet bound fixes the window (a = 0), so the walk is one
+    # block and reads its steps off the descent once for all 422 hits.
+    xs = six_constants().xs
+    with recorded_windows() as windows:
+        assert dirichlet_solve(xs, 10).q == 2105
+    assert windows == [2 * (xs[0].denominator // 10) + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 10**20 // 2 - 1), min_size=4, max_size=8),
+    st.integers(10, 3000),
+)
+def test_oracle_blocks_stay_within_the_bound(numerators, m):
+    # _first_fit's docstring: a scan at eps ends by q = 1/(2*eps*t) for the
+    # pivot's t, and its blocks are longer than sqrt(K/(eps*t)), so it
+    # walks at most ceil(1/(2*sqrt(K*eps*t))) blocks, that is
+    # 4*K*eps*t*(blocks - 1)**2 < 1.  With t = 7/10 the range ends at
+    # t/eps, just short of 1/(2*eps*t), so a scan of four to eight targets
+    # often comes near the bound.  Each block reads its steps once: the
+    # targets' denominators, 10**20, are even, so no window of the range
+    # covers every residue.
+    t = F(7, 10)
+    with recorded_windows() as windows:
+        brute_force_solve(cs(*[(F(2 * k + 1, 10**20), t) for k in numerators]), F(1, m))
+    blocks = len(windows)
+    assert blocks == 0 or 4 * simultaneous._BLOCK_EXCESS * F(1, m) * t * (blocks - 1) ** 2 < 1
 
 
 def test_every_scan_descends_its_pivot_once(monkeypatch):
@@ -868,12 +956,14 @@ def test_every_scan_descends_its_pivot_once(monkeypatch):
 def test_sweep_tries_previous_witness_first(visited):
     # 200 points share 7 witnesses: each point first tests the witness of
     # the one before (q = 1 for the first), so a walk runs only where the
-    # witness changes, and the walks put 13 more q through the exact test.
+    # witness changes, and the walks put 26 more q through the exact test.
+    # Each walk finds its witness in its first block, isqrt(8*k) + 1 long
+    # at eps = 1/k, and takes that block's end window for all its q.
     c = cs((SQRT2_50, F(1)), (parse_real("sqrt3", 50), F(1)))
     rep = epsilon_threshold(c, [F(1, k) for k in range(10, 1010, 5)])
     assert all(rep.feasible)
     assert len({w.q for w in rep.witnesses}) == 7
-    assert len(visited) == 200 + 13
+    assert len(visited) == 200 + 26
 
 
 def test_epsilon_threshold_examples():
