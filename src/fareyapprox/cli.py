@@ -350,6 +350,12 @@ class _Parser(argparse.ArgumentParser):
             return self._get_value(action, "--")
         return super()._get_values(action, arg_strings)
 
+    # argparse's version swallows an OSError of the write; let run() end on
+    # a closed stdout under --help as it does under a command's output.
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
 
 # Built once per process and shared by every run() call: parse_args makes a
 # fresh Namespace each time, and each _cmd_* looks up its library function at
@@ -430,10 +436,9 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
     except BrokenPipeError:
         # The reader of stdout is gone (as in `| head`): a quiet end.
         return 1

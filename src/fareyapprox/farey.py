@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Union
 
 from ._record import record
@@ -237,10 +238,9 @@ def farey_next(current: FareyPair) -> Fraction:
     """The element of F_order right after ``current.right``; order = current.order."""
     if current.right == 1:
         raise EndOfSequenceError("1/1 is the last element of every Farey sequence")
-    a, b = current.left.numerator, current.left.denominator
-    c, d = current.right.numerator, current.right.denominator
-    k = (current.order + b) // d
-    return Fraction(k * c - a, k * d - b)
+    # The listing from current.right starts with it; its successor is next.
+    _, (h, k) = islice(_farey_pairs(current.order, current.right), 2)
+    return Fraction(h, k)
 
 
 def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:

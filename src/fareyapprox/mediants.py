@@ -47,10 +47,10 @@ def _require_count(count: int) -> None:
 
 
 def _rungs(h: int, k: int, dh: int, dk: int, count: int) -> list[tuple[int, int]]:
-    # The pairs (h + i*dh, k + i*dk) for i = 0..count, zipped from two
-    # ranges; dk >= 1, and dh >= 0 is 0 only for a chain off 0/1.
-    hs = range(h, h + (count + 1) * dh, dh) if dh else itertools.repeat(h, count + 1)
-    return list(zip(hs, range(k, k + (count + 1) * dk, dk)))
+    # The pairs (h + i*dh, k + i*dk) for i = 0..count; dk >= 1, so the
+    # range of k's ends the zip, and itertools.count repeats h when dh = 0
+    # (a chain off 0/1).
+    return list(zip(itertools.count(h, dh), range(k, k + (count + 1) * dk, dk)))
 
 
 def descending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:

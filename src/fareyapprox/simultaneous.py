@@ -46,7 +46,7 @@ scan's answer, computes the numerators for the q returned only.  The
 first item tested, which rejects most q, compares that remainder with
 its own window on the block before the exact test, and the walk carries
 the remainder from hit to hit, adding the remainder of the gap taken,
-so most q cost an addition and two compares.  A walk starts at the last
+so most q cost an addition and one compare.  A walk starts at the last
 hit at or below its lower end, which a Euclid-style descent finds in
 O(log xd) steps, so its cost does not grow with the q below its range.
 """
@@ -176,8 +176,13 @@ def best_numerator(x: Fraction, q: int) -> int:
     if not isinstance(q, int) or q < 1:
         raise InvalidInputError("denominator must be a positive integer")
     x = Fraction(x)
-    p, rem = divmod(x.numerator * q, x.denominator)
-    return p + 1 if 2 * rem > x.denominator else p
+    return _nearest(x.numerator, x.denominator, q)
+
+
+def _nearest(xn: int, xd: int, q: int) -> int:
+    # The numerator p nearest q*xn/xd, exact ties to the smaller p.
+    p, r = divmod(xn * q, xd)
+    return p + 1 if 2 * r > xd else p
 
 
 def _positive_epsilon(epsilon: Fraction) -> Fraction:
@@ -272,7 +277,7 @@ def _fits(items: Sequence[tuple[int, int, int, int, int]], q: int) -> bool:
 
     Item x = xn/xd fits q when d * den <= a*q + c, where d = xd * ||q*x||
     = |xn*q - p*xd| for the numerator p nearest q*x, exact ties to the
-    smaller p (:func:`_solution` computes those p).  d is the remainder
+    smaller p (:func:`_nearest` computes those p).  d is the remainder
     r = xn*q mod xd or xd - r, whichever is smaller (a tie gives the same
     d either way), so the test costs one remainder per item until an item
     rejects q, and no numerator is computed.
@@ -324,9 +329,11 @@ def _first_fit(
     hit of the blocks before.  A wider window can take in a q between
     that hit and the block's start; such a q missed its own block's
     window, so it fails the pivot's exact test.  The first item, which
-    rejects most candidates, gets its own block window fh first: a hit
-    with fh < r < xd - fh, r its remainder, is rejected by two compares
-    against per-block integers, and only the others pay the exact test.
+    rejects most candidates, gets its own block window fh first, in the
+    pivot's form: its remainder shifted by fh, r = (xn*q + fh) mod xd, is
+    below 2*fh + 1 exactly when xd * ||q*x|| <= fh (for every q once
+    2*fh + 1 >= xd), so a hit is rejected by one compare against a
+    per-block integer, and only the others pay the exact test.
     r is seeded once per block at the carried q and then carried: each of
     the three gaps moves it by its own residue step (the first item's
     remainders of q1, q2 and q1 + q2, computed once per block), and a sum
@@ -338,11 +345,9 @@ def _first_fit(
         return None
     if _fits(items, lo):
         return lo
-    if lo == hi:
-        return None
     pn, pd, pa, pc, pden = items[-1]
     fn, fd, fa, fc, fden = items[0]
-    size = math.isqrt(_BLOCK_EXCESS * pden * pd // pa) + 1 if pa else hi - lo
+    size = math.isqrt(_BLOCK_EXCESS * pden * pd // pa) + 1 if pa else hi - lo + 1
     q = None
     for first in range(lo + 1, hi + 1, size):
         last = min(first + size - 1, hi)
@@ -355,12 +360,13 @@ def _first_fit(
         if q is None:
             # Walking back from lo moves the residue by -pn per step.
             q = lo - _first_in_window(-pn, pn * lo + h, pd, w)
-        fh = (fa * last + fc) // fden
-        top = fd - fh
         s = (pn * q + h) % pd
-        # The first item's residue r = fn*q mod fd moves by f1, f2 or f3,
-        # that of the step taken, each below fd, so one subtraction wraps it.
-        r = fn * q % fd
+        # The first item's residue, shifted the same way: r = (fn*q + fh)
+        # mod fd puts its window at 0..fw-1.  r moves by f1, f2 or f3, that
+        # of the step taken, each below fd, so one subtraction wraps it.
+        fh = (fa * last + fc) // fden
+        fw = 2 * fh + 1
+        r = (fn * q + fh) % fd
         f1, f2 = fn * q1 % fd, fn * q2 % fd
         f3 = (f1 + f2) % fd
         while True:
@@ -377,7 +383,7 @@ def _first_fit(
             q += step
             if r >= fd:
                 r -= fd
-            if not fh < r < top and _fits(items, q):
+            if r < fw and _fits(items, q):
                 return q
     return None
 
@@ -407,12 +413,8 @@ def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> tuple[list, list]:
 
 
 def _solution(xs: Sequence[Fraction], q: int, epsilon: Fraction, method: str) -> Solution:
-    # The nearest numerators of a scan's q, exact ties to the smaller p, as
-    # _first_fit's test takes them.
-    ps = []
-    for x in xs:
-        p, r = divmod(x.numerator * q, x.denominator)
-        ps.append(p + 1 if 2 * r > x.denominator else p)
+    # The nearest numerators of a scan's q, as _first_fit's test takes them.
+    ps = [_nearest(x.numerator, x.denominator, q) for x in xs]
     return Solution(q, tuple(ps), _exact_errors(xs, q, ps), epsilon, method)
 
 

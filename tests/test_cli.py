@@ -147,6 +147,28 @@ def test_cli_ends_quietly_when_stdout_closes(argv, head):
     assert (lines, proc.returncode, stderr) == (head, 1, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_into_a_closed_stdout_ends_quietly(unbuffered):
+    # The reader closes the pipe before the help text is written: exit 1
+    # with nothing on stderr, whether the help meets the closed pipe at
+    # its write (unbuffered) or at the flush in main (buffered).
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fareyapprox", "sweep", "--help"],
+        env={**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        _, stderr = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert (proc.returncode, stderr) == (1, b"")
+
+
 def chunked_windows(terms):
     # The CLI writes the listing 4096 terms at a time.  Ends on a chunk
     # edge, next to one and between terms; hi < lo; ends outside [0, 1].

@@ -607,12 +607,18 @@ def multi_block_scans(draw):
     # Ranges that cross from none to some tens of block ends past lo (a
     # block is about sqrt(8*den/m) long for the pivot's den and a = m*xd
     # below), with oracle-style bounds (c = 0 or -1), so the first item's
-    # carried residue, a 64-digit stand-in's, is re-seeded at each block.
-    # The pivot, last, is a stand-in too or a small rational whose window
-    # can cover every residue (the walk then steps by 1).
+    # carried residue is re-seeded at each block.  The first item is a
+    # 64-digit stand-in or a small rational, whose window can be a single
+    # residue (fh = 0) or cover every residue (2*fh + 1 >= xd), the two
+    # edges of its shifted-residue rule.  The pivot, last, is a stand-in
+    # too or a small rational whose window can cover every residue (the
+    # walk then steps by 1).
     lo = draw(st.integers(1, 2000))
     hi = draw(st.integers(2 * lo, 8 * lo))
-    first = draw(st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)))
+    first = draw(st.one_of(
+        st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)),
+        st.integers(1, 60).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
+    ))
     middle = draw(st.lists(st.one_of(
         st.sampled_from(STANDINS_64),
         st.integers(1, 10**6).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
@@ -623,8 +629,9 @@ def multi_block_scans(draw):
     ))
     # den is hi * 2**j plus up to hi more, with j drawn uniformly, so at hi
     # the pivot's window covers from about 1/5 of the residues to all of
-    # them, the first item's from 1/256 and the others' from 1/1024: the
-    # walk offers many hits per block, and a fit can be rare.
+    # them, the first item's from 1/256 (a single residue for a small xd)
+    # and the others' from 1/1024: the walk offers many hits per block, and
+    # a fit can be rare.
     shifts = [draw(st.sampled_from(range(10))), *[draw(st.sampled_from(range(12))) for _ in middle]]
     shifts.append(draw(st.sampled_from(range(4))))
     dens = [(hi << j) + draw(st.integers(0, hi)) for j in shifts]
@@ -640,7 +647,7 @@ def block_ends(items, lo, hi):
     # isqrt(K*den*xd // a) + 1 of the pivot's bound, K = _BLOCK_EXCESS,
     # the last cut at hi; one block when the pivot's window is fixed.
     xd, a, den = items[-1][1], items[-1][2], items[-1][4]
-    size = math.isqrt(simultaneous._BLOCK_EXCESS * den * xd // a) + 1 if a else hi - lo
+    size = math.isqrt(simultaneous._BLOCK_EXCESS * den * xd // a) + 1 if a else hi - lo + 1
     return [min(first + size - 1, hi) for first in range(lo + 1, hi + 1, size)]
 
 
@@ -687,6 +694,37 @@ def walked_hits(items, lo, hi):
         for x, m, c, j, extra in [
             (-STANDINS_64[3], 1, 0, 6, 17),
             (STANDINS_64[2], 2, -1, 5, 300),
+            (STANDINS_64[4], 1, 0, 2, 5),
+        ]
+    ],
+    1000,
+    8000,
+))
+# The first item's window is one residue, fh = (118*b - 1) // 1,024,003
+# = 0, at each of the 11 block ends to q = 6,577, so only multiples of 59
+# pass it: lo and 24 of them reach the exact test, the last, 6,490, fits.
+@example((
+    [
+        (x.numerator, x.denominator, m * x.denominator, c, (8000 << j) + extra)
+        for x, m, c, j, extra in [
+            (F(5, 59), 2, -1, 7, 3),
+            (STANDINS_64[2], 2, -1, 5, 300),
+            (STANDINS_64[4], 1, 0, 2, 5),
+        ]
+    ],
+    1000,
+    8000,
+))
+# The first item's window fh = (5*b - 1) // 8,017 at the 6 block ends to
+# q = 4,042 goes 0, 1, 1, 1, 2, 2: from one residue of 5 to three, then
+# to all five (2*fh + 1 >= 5); lo and 323 hits reach the exact test, the
+# last, 3,771, fits.
+@example((
+    [
+        (x.numerator, x.denominator, m * x.denominator, c, (8000 << j) + extra)
+        for x, m, c, j, extra in [
+            (F(2, 5), 1, -1, 0, 17),
+            (STANDINS_64[0], 1, 0, 8, 7),
             (STANDINS_64[4], 1, 0, 2, 5),
         ]
     ],
