@@ -7,10 +7,10 @@ builds on.
 
 Every term of a listing is already reduced, so one generator makes every
 listing as raw (h, k) pairs by the next-term recurrence, seeded at the
-lower end and stopped at the upper end.  The CLI prints those pairs as
-they are, :func:`verify_farey_properties` checks them, and
-``farey_sequence`` wraps them in ``Fraction``s only at the library
-boundary.
+lower end by :func:`_seed_below`, whatever that end is, and stopped at
+the upper end.  The CLI prints those pairs as they are,
+:func:`verify_farey_properties` checks them, and ``farey_sequence`` wraps
+them in ``Fraction``s only at the library boundary.
 
 The Stern-Brocot descent on a rational is the one kernel behind every
 bracket and every three-gap step, and this module is the only one that
@@ -20,14 +20,15 @@ It has two readers.  :func:`_bracket` reads the Farey bracket of any
 order off it, as its endpoints, which serves ``farey_neighbors``, the
 seed of a listing and the composition heuristic.  :func:`_steps` bisects
 it by residue for the scans of :mod:`fareyapprox.simultaneous`, which
-hold a path but never index its levels.
+hold a path but never index its levels; it answers every window w >= 1,
+one that covers every residue and an integer target's included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Iterator, Union
 
 from ._record import record
@@ -120,11 +121,13 @@ def _descent(xn: int, xd: int) -> list[tuple[int, int, int, int, int]]:
     moves back by v, so p1/q1 < xn/xd < p2/q2 with p1 = (xn*q1 - u)/xd and
     p2 = (xn*q2 + v)/xd are the left and right endpoints of the descent
     (one-sided best approximations).  The root is q1 = q2 = 1, the
-    integers on either side of xn/xd.  The key -min(u, v) does not
-    decrease along the path, so the path can be bisected by it.
+    integers on either side of xn/xd; for an integer target (xd = 1) it is
+    u = v = 0, the end level of every path, so that path is its root.  The
+    key -min(u, v) does not decrease along the path, so the path can be
+    bisected by it.
     """
-    u = xn % xd
-    return [(-min(u, xd - u), 1, u, 1, xd - u)]
+    u, v = xn % xd, -xn % xd
+    return [(-min(u, v), 1, u, 1, v)]
 
 
 def _deepen(path: list[tuple[int, int, int, int, int]]) -> None:
@@ -146,17 +149,19 @@ def _deepen(path: list[tuple[int, int, int, int, int]]) -> None:
 
 
 def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int, int, int]:
-    """(q1, u, q2, v) of the first level of the descent with u < w and v < w.
+    """(q1, u, q2, v) of the first level of the descent with u < w and v < w, for w >= 1.
 
     Each step of the descent (:func:`_deepen`) takes the larger of u and v
     below the smaller, and its last step goes to q1 = q2 = xd with
     u = v = 0 (for w = 1 the hits are the multiples of xd).  So levels
     whose smaller residue is >= w are passed whole, and the first level
     whose smaller residue is < w needs at most one partial step: the
-    fewest steps of the smaller that take the larger below w.  ``path``
-    (from :func:`_descent`) keeps the levels found so far and is extended
-    in place only as deep as w needs, so the callers that walk one target
-    with many windows take each level's step once.
+    fewest steps of the smaller that take the larger below w.  A window
+    that covers every residue (w >= xd) gets the root's steps, q1 = q2 = 1,
+    so a walk by them takes every q.  ``path`` (from :func:`_descent`)
+    keeps the levels found so far and is extended in place only as deep
+    as w needs, so the callers that walk one target with many windows
+    take each level's step once.
     """
     while path[-1][0] <= -w:
         _deepen(path)
@@ -193,7 +198,8 @@ def _bracket(xn: int, xd: int, order: int) -> tuple[int, int, int, int]:
 
 def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
     # A seed a/b, c/d for _farey_pairs whose c/d is the first term >= lo of
-    # F_order, for 0 < lo <= 1.
+    # F_order shifted by floor(lo), for lo >= 0: at 0/1 the virtual term
+    # -1/0 and 0/1 itself, past 1/1 a c/d > 1 that ends the listing.
     h, k = lo.numerator, lo.denominator
     if k > order:
         return _bracket(h, k, order)
@@ -208,16 +214,11 @@ def _seed_below(lo: Fraction, order: int) -> tuple[int, int, int, int]:
 def _farey_pairs(order: int, lo: Fraction | None, hn=1, hd=0) -> Iterator[tuple[int, int]]:
     # The (h, k) pairs of F_order from the first term >= lo to the last
     # term <= hn/hd (hd > 0, or the default 1/0, above every term): the one
-    # next-term recurrence of the package.  Its seed a/b, c/d has c/d the
-    # first term >= lo, so no term below lo is built; below 0/1 it is the
-    # virtual term -1/0, from which the recurrence steps to 1/order.
+    # next-term recurrence of the package.  Every listing takes its seed
+    # a/b, c/d from _seed_below, with c/d the first term >= lo, so no term
+    # below lo is built; a lo below 0/1 is seeded at 0/1.
     _require_order(order)
-    if lo is None or lo <= 0:
-        a, b, c, d = -1, 0, 0, 1
-    elif lo > 1:
-        return
-    else:
-        a, b, c, d = _seed_below(lo, order)
+    a, b, c, d = _seed_below(max(lo, 0) if lo is not None else 0, order)
     while c <= d and c * hd <= hn * d:
         yield c, d
         k = (order + b) // d
@@ -275,21 +276,20 @@ def verify_farey_properties(order: int) -> PropertyReport:
     # The terms of each law's first counterexample, by the law's field name.
     first: dict[str, tuple[tuple[int, int], ...]] = {}
     pairs = 0
-    prev2 = prev1 = None
-    for cur in _farey_pairs(order, None):
-        if prev1 is not None:
-            pairs += 1
-            (h, k), (h2, k2) = prev1, cur
-            mn, md = h + h2, k + k2
-            if k * h2 - h * k2 != 1:
-                first.setdefault("adjacent_unimodular", (prev1, cur))
-            if prev2 is not None and h * (prev2[1] + k2) != k * (prev2[0] + h2):
-                first.setdefault("mediant_of_neighbors", (prev2, prev1, cur))
-            if not (md > order and h * md < k * mn and mn * k2 < md * h2):
-                first.setdefault("denominator_sum_exceeds_order", (prev1, cur))
-            if order > 1 and k == k2:
-                first.setdefault("distinct_adjacent_denominators", (prev1, cur))
-        prev2, prev1 = prev1, cur
+    prev2 = None
+    for prev1, cur in pairwise(_farey_pairs(order, None)):
+        pairs += 1
+        (h, k), (h2, k2) = prev1, cur
+        mn, md = h + h2, k + k2
+        if k * h2 - h * k2 != 1:
+            first.setdefault("adjacent_unimodular", (prev1, cur))
+        if prev2 is not None and h * (prev2[1] + k2) != k * (prev2[0] + h2):
+            first.setdefault("mediant_of_neighbors", (prev2, prev1, cur))
+        if not (md > order and h * md < k * mn and mn * k2 < md * h2):
+            first.setdefault("denominator_sum_exceeds_order", (prev1, cur))
+        if order > 1 and k == k2:
+            first.setdefault("distinct_adjacent_denominators", (prev1, cur))
+        prev2 = prev1
 
     def check(name: str, checked: int, skipped: bool = False) -> PropertyCheck:
         terms = first.get(name)

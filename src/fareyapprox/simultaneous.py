@@ -321,8 +321,8 @@ def _first_fit(
     the caller's other scans.
 
     The hits of a window follow each other by one of three gaps (Sós
-    1958), read off ``path`` once per block by :func:`_steps`; once the
-    window covers every residue, the gap is 1.  The walk starts in the
+    1958), read off ``path`` once per block by :func:`_steps`, which gives
+    gaps of 1 once the window covers every residue.  The walk starts in the
     first block at the last hit at or below lo, which
     :func:`_first_in_window` finds by walking back from lo (q = 0 always
     hits, so there is one), and it carries into each later block the last
@@ -356,7 +356,7 @@ def _first_fit(
         # Shifted residues s = (pn*q + h) mod pd put the window at 0..w-1.
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
         # the first whose residue moves back by v < w.
-        q1, u, q2, v = _steps(path, w) if w < pd else (1, 0, 1, 0)
+        q1, u, q2, v = _steps(path, w)
         if q is None:
             # Walking back from lo moves the residue by -pn per step.
             q = lo - _first_in_window(-pn, pn * lo + h, pd, w)
@@ -469,7 +469,7 @@ def _smallest_witnesses(
                 f"{_count_text(q_max)} denominators"
             )
         points.append((q_max, None))
-        start = max(start, limit + 1)
+        start = limit + 1
     return points
 
 

@@ -79,11 +79,14 @@ def planner_windows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(planner_windows())
-# Order 1, --to 0, --from 1 and --from 1 --to 0 pin the seeds at both ends.
+# Order 1, --to 0, --from 1 and --from 1 --to 0 pin the seeds at both ends;
+# --from -1/2 and --from 3/2 pin those below 0/1 and past 1/1.
 @example((1, None, (1, 0)))
 @example((5, None, (0, 1)))
 @example((5, F(1), (1, 0)))
 @example((5, F(1), (0, 1)))
+@example((5, F(-1, 2), (1, 0)))
+@example((5, F(3, 2), (1, 0)))
 def test_farey_pairs_is_the_filtered_recurrence(window):
     # Seeded at lo and stopped at hn/hd inside the recurrence, the planner
     # lists exactly the terms of F_order in [lo, hn/hd].
@@ -94,6 +97,13 @@ def test_farey_pairs_is_the_filtered_recurrence(window):
         if (lo is None or t >= lo) and t.numerator * hd <= hn * t.denominator
     ]
     assert list(_farey_pairs(order, lo, hn, hd)) == expected
+
+
+def test_listing_seed_at_zero_is_the_virtual_term():
+    # The seed of 0/1 is -1/0, 0/1, from which the recurrence steps to
+    # 1/order, at every order.
+    for order in (1, 2, 5, 60):
+        assert farey._seed_below(F(0), order) == (-1, 0, 0, 1)
 
 
 def test_adjacent_pairs_unimodular_and_denominator_sum():
@@ -240,11 +250,10 @@ def test_brackets_read_off_the_descent_equal_the_mediant_loop(case):
     found = farey_neighbors(x, order)
     if x.denominator <= order:
         assert found == ExactHit(x, order)
-        if x > 0:
-            # The seed of a member h/k is a/b, h/k with h*b - k*a = 1 and
-            # 0 <= b < k, from which the next-term recurrence goes on.
-            a, b, h, k = farey._seed_below(x, order)
-            assert (F(h, k), h * b - k * a) == (x, 1) and 0 <= b < k
+        # The seed of a member h/k, 0/1 included, is a/b, h/k with
+        # h*b - k*a = 1 and 0 <= b < k, from which the recurrence goes on.
+        a, b, h, k = farey._seed_below(x, order)
+        assert (F(h, k), h * b - k * a) == (x, 1) and 0 <= b < k
     else:
         a, b, c, d = mediant_bracket(x, order)
         assert found == FareyPair(F(a, b), F(c, d), order)

@@ -403,7 +403,7 @@ def test_window_hits_equal_linear_filter(walk):
 def per_block_steps(xn, xd, w):
     # The descent from the root, as a block would run it without a shared
     # path.  Returns (q1, u, q2, v) and its number of batched steps.
-    q1, u, q2, v = 1, xn % xd, 1, xd - xn % xd
+    q1, u, q2, v = 1, xn % xd, 1, -xn % xd
     count = 0
     while u >= w or v >= w:
         count += 1
@@ -424,18 +424,18 @@ STANDINS_64 = tuple(parse_real(name, 64) for name in ("sqrt2", "sqrt3", "phi", "
 
 @st.composite
 def shared_descents(draw):
-    # A walk never asks for w >= xd, so xd = 1 (where every w is) is left
-    # out; for xd >= 2 that w gives the root.  Windows are drawn by bit
+    # Any reduced xn/xd, integers included; a window w >= xd, one that
+    # covers every residue, gives the root.  Windows are drawn by bit
     # length, so 64-digit stand-ins get deep ones too, in any order.
     x = draw(st.one_of(
-        st.integers(2, 400).flatmap(
+        st.integers(1, 400).flatmap(
             lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))
-        ).filter(lambda x: x.denominator > 1),
+        ),
         st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)),
     ))
     xd = x.denominator
     window = st.one_of(
-        st.sampled_from([1, 2, xd - 1, xd, xd + 1]),
+        st.sampled_from([1, 2, max(xd - 1, 1), xd, xd + 1]),
         st.integers(1, xd.bit_length()).flatmap(lambda b: st.integers(1 << (b - 1), 1 << b)),
     )
     return x.numerator, xd, draw(st.lists(window, min_size=1, max_size=12))
@@ -464,18 +464,18 @@ def test_shared_descent_equals_per_block_descent(case):
 
 @st.composite
 def step_windows(draw):
-    # Reduced xn/xd with xd >= 2 (xd = 1 has no walk, as in shared_descents)
-    # and any window 1 <= w <= xd + 1, drawn by bit length so that the
-    # 64-digit stand-ins get narrow windows too.
+    # Any reduced xn/xd, integers included, and any window 1 <= w <= xd + 1,
+    # drawn by bit length so that the 64-digit stand-ins get narrow windows
+    # too.
     x = draw(st.one_of(
-        st.integers(2, 10**12).flatmap(
+        st.integers(1, 10**12).flatmap(
             lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))
-        ).filter(lambda x: x.denominator > 1),
+        ),
         st.sampled_from(STANDINS_64 + tuple(-x for x in STANDINS_64)),
     ))
     xd = x.denominator
     w = draw(st.one_of(
-        st.sampled_from([1, 2, xd - 1, xd, xd + 1]),
+        st.sampled_from([1, 2, max(xd - 1, 1), xd, xd + 1]),
         st.integers(1, (xd + 1).bit_length()).flatmap(
             lambda b: st.integers(1 << (b - 1), min(1 << b, xd + 1))
         ),
@@ -885,8 +885,7 @@ def test_wide_first_window_walk_yields_a_pinned_count(visited):
 
 @contextlib.contextmanager
 def recorded_windows():
-    # The window of every _steps call, in order: one per block whose
-    # window misses some residue.
+    # The window of every _steps call, in order: one per block.
     windows = []
     steps = simultaneous._steps
 
@@ -959,9 +958,7 @@ def test_oracle_blocks_stay_within_the_bound(numerators, m):
     # walks at most ceil(1/(2*sqrt(K*eps*t))) blocks, that is
     # 4*K*eps*t*(blocks - 1)**2 < 1.  With t = 7/10 the range ends at
     # t/eps, just short of 1/(2*eps*t), so a scan of four to eight targets
-    # often comes near the bound.  Each block reads its steps once: the
-    # targets' denominators, 10**20, are even, so no window of the range
-    # covers every residue.
+    # often comes near the bound.  Each block reads its steps once.
     t = F(7, 10)
     with recorded_windows() as windows:
         brute_force_solve(cs(*[(F(2 * k + 1, 10**20), t) for k in numerators]), F(1, m))
