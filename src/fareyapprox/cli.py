@@ -428,6 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("selftest", help="packaged smoke test")
     p.set_defaults(func=_cmd_selftest)
 
+    # The top-level usage is written out, as argparse prints a given usage
+    # unwrapped: 3.13 puts the command list and "..." on one line, which
+    # 3.10-3.12 break.  It is set last, since each subparser's usage
+    # starts with the usage its parent has when the subparsers are added.
+    indent = " " * len("usage: farey-approx ")
+    parser.usage = f"%(prog)s [-h]\n{indent}{{{','.join(subs.choices)}}}\n{indent}..."
     return parser
 
 

@@ -21,7 +21,10 @@ order off it, as its endpoints, which serves ``farey_neighbors``, the
 seed of a listing and the composition heuristic.  :func:`_steps` bisects
 it by residue for the scans of :mod:`fareyapprox.simultaneous`, which
 hold a path but never index its levels; it answers every window w >= 1,
-one that covers every residue and an integer target's included.
+one that covers every residue and an integer target's included.  Those
+scans descend not a target but its first convergent past the largest q
+they reach, :func:`_convergent`, so that they walk on integers about as
+long as that q.
 """
 
 from __future__ import annotations
@@ -130,22 +133,54 @@ def _descent(xn: int, xd: int) -> list[tuple[int, int, int, int, int]]:
     return [(-min(u, v), 1, u, 1, v)]
 
 
+def _convergent(xn: int, xd: int, top: int) -> tuple[int, int]:
+    """(a, b): xn/xd itself if xd <= top, else its first convergent with b >= top.
+
+    The convergents p_k/q_k of x = xn/xd satisfy |q_k*x - p_k| <= 1/q_(k+1)
+    (Khinchin 1964), and q_(k+1) > q_k from k = 1 on, so the first b >= top
+    has top*|b*xn - a*xd| < xd: a walk on a/b up to q = top is a walk on x
+    with windows one unit of 1/b wider (simultaneous._first_fit).  For
+    top <= 1, b = 1 and a is the integer nearest x, as |x - a| <= 1/2.
+    Only the denominators are carried, by Euclid's algorithm on xn and xd,
+    two steps a turn so that no pair is swapped, and a is the integer
+    nearest b*x, as |b*x - a| <= 1/3 once b >= 2.  A remainder reaches 0
+    only with b = xd > top, so no step divides by 0.  b is below
+    (c + 1)*top for the partial quotient c that takes the denominators
+    past top, so it is near top unless x lies very close to a fraction of
+    denominator below top.
+    """
+    if xd <= top:
+        return xn, xd
+    n, d, b0, b = xd, xn % xd, 0, 1
+    while b < top:
+        k, n = divmod(n, d)
+        b0 += k * b
+        if b0 >= top:
+            b = b0
+            break
+        k, d = divmod(d, n)
+        b += k * b0
+    return (2 * b * xn + xd) // (2 * xd), b
+
+
 def _deepen(path: list[tuple[int, int, int, int, int]]) -> None:
     # The one batched Stern-Brocot step: the larger of u and v drops below
-    # the smaller, by as many steps of the smaller as keep it >= 1.  u == v
-    # happens only at u = v = 1, next to xn/xd itself, whose one step goes
-    # to q1 = q2 = xd with u = v = 0, the end of the path.
+    # the smaller, by as many steps of the smaller as keep it >= 1, so it
+    # is the smaller one after, and its key.  u == v happens only at
+    # u = v = 1, next to xn/xd itself, whose one step goes to q1 = q2 = xd
+    # with u = v = 0, the end of the path.
     _, q1, u, q2, v = path[-1]
     if u > v:
         j = (u - 1) // v
         q1, u = q1 + j * q2, u - j * v
+        path.append((-u, q1, u, q2, v))
     elif v > u:
         j = (v - 1) // u
         q2, v = q2 + j * q1, v - j * u
+        path.append((-v, q1, u, q2, v))
     else:
-        q1 = q2 = q1 + q2
-        u = v = 0
-    path.append((-min(u, v), q1, u, q2, v))
+        q1 += q2
+        path.append((0, q1, 0, q1, 0))
 
 
 def _steps(path: list[tuple[int, int, int, int, int]], w: int) -> tuple[int, int, int, int]:

@@ -30,25 +30,37 @@ baseline, steps from one such q to the next in a few integer operations,
 with a window per block of q that contains every q the exact test can
 accept.  The blocks have one length, set by how fast the window widens
 so that a block's window takes in about eight more q than the windows
-of its q's own would (one block for the baseline's fixed window).  The
-gaps of a block are the steps farey._steps reads
-off the Stern-Brocot descent on the pivot, the one descent of the
-package, off which compose_solve's Farey brackets are read too.  A scan
-starts that descent once (farey._descent) and farey._steps extends it
-only as deep as the narrowest window needs, so a sweep descends the
-pivot once for all its points.  :func:`_plan` sets up every scan: the
-items' integer parts in test order and the descent on the pivot.  Each q
-the walk reaches goes through :func:`_fits`, the one exact integer test
-of every item, so the answers are those of a full scan.  The test reads
+of its q's own would (one block for the baseline's fixed window).
+
+The walk does not run on the pivot x = xn/xd itself, whose xd can have
+hundreds of bits, but on its convergent a/b for the largest q its scans
+can reach, top: the first with b >= top, or x itself if xd <= top
+(farey._convergent).  Such a convergent has |b*x - a| < 1/top
+(Khinchin 1964), so for q <= top the distances b*||q*a/b|| and
+b*||q*x|| differ by less than one unit, and a window of half-width h on
+x's scale, xd*||q*x|| <= h, lies inside the window b*h // xd + 1 on
+a/b's: every q the exact test can accept is still walked, with about
+2*top/b <= 2 more per scan, and the residues walked are below b, which
+is near top unless x lies very close to a fraction of smaller
+denominator.  So a scan needs hi <= top.  The gaps of a block are the steps
+farey._steps reads off the Stern-Brocot descent on a/b, the kernel off
+which compose_solve's Farey brackets are read too.  :func:`_walk`
+builds a plan's walk once, for the largest range of its scans, and
+farey._steps extends the descent only as deep as the narrowest window
+needs, so a sweep descends a/b once for all its points.  :func:`_plan`
+sets up every scan: the items' integer parts in test order.  Each q the
+walk reaches goes through :func:`_fits`, the one exact integer test of
+every item, so the answers are those of a full scan.  The test reads
 only the distance xd * ||q*x_i||, so a q costs one remainder per item
 until an item rejects it, and :func:`_solution`, the one builder of a
 scan's answer, computes the numerators for the q returned only.  The
-first item tested, which rejects most q, compares that remainder with
-its own window on the block before the exact test, and the walk carries
-the remainder from hit to hit, adding the remainder of the gap taken,
-so most q cost an addition and one compare.  A walk starts at the last
-hit at or below its lower end, which a Euclid-style descent finds in
-O(log xd) steps, so its cost does not grow with the q below its range.
+first item tested, which rejects most q, compares the remainder of its
+own convergent c/e for top with its window on the block, widened the
+same way, before the exact test, and the walk carries that remainder
+from hit to hit, adding the remainder of the gap taken, so most q cost
+an addition and one compare on integers below e.  A walk starts at the
+last hit at or below its lower end, which a Euclid-style descent finds
+in O(log b) steps, so its cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from typing import Iterable, Sequence, Union
 
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
-from .farey import _bracket, _descent, _steps
+from .farey import _bracket, _convergent, _descent, _steps
 from .rationals import _PRINT_LIMIT
 
 #: Default cap on exhaustive denominator scans.
@@ -293,19 +305,30 @@ def _first_fit(
     items: Sequence[tuple[int, int, int, int, int]],
     lo: int,
     hi: int,
-    path: list[tuple[int, int, int, int, int]],
+    walk: tuple,
 ) -> int | None:
     """Smallest q in lo..hi that :func:`_fits` the items, or None.
 
     Each item is (xn, xd, a, c, den) with xn/xd in lowest terms, a >= 0,
     den >= 1 and a*b + c >= 0 at every block end b below (so c = -1 with
-    a >= 1, a strict bound, is allowed).  lo is tested first.  The other
-    candidates are the q above it whose pivot, the last item, lies in its
-    window: a*q + c does not decrease in q, so on a block of q ending at b
-    (at most hi) a q that fits the pivot has xd * ||q*x|| <= h =
-    (a*b + c) // den, and no fit is missed.  h does not decrease in b, so
-    a hit of one block's window is a hit of the next block's, and any
+    a >= 1, a strict bound, is allowed).  ``walk`` is :func:`_walk`'s for
+    the first item, the pivot (the last item) and a top >= hi.  lo is
+    tested first.  The other candidates are the q above it whose pivot
+    lies in its window: a*q + c does not decrease in q, so on a block of q
+    ending at b (at most hi) a q that fits the pivot has xd * ||q*x|| <=
+    h = (a*b + c) // den, and no fit is missed.  h does not decrease in b,
+    so a hit of one block's window is a hit of the next block's, and any
     partition of lo+1..hi into blocks gives the same answer.
+
+    The walk steps on the pivot's convergent pn/pb from ``walk``, not on
+    x = xn/xd itself, so it carries residues below pb, about top, where xd
+    can have hundreds of bits.  For q <= top the distances pb*||q*pn/pb||
+    and pb*||q*x|| differ by less than one unit, q*|pb*xn - pn*xd| / xd,
+    as top*|pb*xn - pn*xd| < xd (farey._convergent).  So a q with
+    xd * ||q*x|| <= h has pb*||q*pn/pb|| < pb*h/xd + 1, an integer, at
+    most h' = pb*h // xd + 1: the window h' (h itself when pb = xd, a walk
+    on x) takes in every hit of h, and about 2*top/pb <= 2 more q per
+    scan.  This is why hi <= top.
 
     The blocks have one length L from lo + 1, the last cut at hi.  A block
     that takes its end's window for every q walks about a*L**2/(den*xd)
@@ -317,58 +340,64 @@ def _first_fit(
     every q >= 1/(2*eps*t), since xd * ||q*x|| <= xd/2; the pivot has the
     smallest t, so a scan ends by q = ceil(1/(2*eps*t_pivot)), and as L >
     sqrt(K/(eps*t_pivot)) it walks at most ceil(1/(2*sqrt(K*eps*t_pivot)))
-    blocks.  ``path`` is the pivot's descent (farey._descent), shared with
-    the caller's other scans.
+    blocks.
 
     The hits of a window follow each other by one of three gaps (Sós
-    1958), read off ``path`` once per block by :func:`_steps`, which gives
-    gaps of 1 once the window covers every residue.  The walk starts in the
-    first block at the last hit at or below lo, which
-    :func:`_first_in_window` finds by walking back from lo (q = 0 always
-    hits, so there is one), and it carries into each later block the last
-    hit of the blocks before.  A wider window can take in a q between
-    that hit and the block's start; such a q missed its own block's
-    window, so it fails the pivot's exact test.  The first item, which
-    rejects most candidates, gets its own block window fh first, in the
-    pivot's form: its remainder shifted by fh, r = (xn*q + fh) mod xd, is
-    below 2*fh + 1 exactly when xd * ||q*x|| <= fh (for every q once
-    2*fh + 1 >= xd), so a hit is rejected by one compare against a
-    per-block integer, and only the others pay the exact test.
-    r is seeded once per block at the carried q and then carried: each of
-    the three gaps moves it by its own residue step (the first item's
-    remainders of q1, q2 and q1 + q2, computed once per block), and a sum
-    past xd wraps with one subtraction.  So the walk offers the same q,
-    and makes the same exact tests, as one that took a remainder at every
-    hit.
+    1958), read once per block by :func:`_steps` off the walk's descent on
+    pn/pb, shared with the caller's other scans, which gives gaps of 1 once
+    the window covers every residue.  The walk starts in the first block
+    at the last hit at or below lo, which :func:`_first_in_window` finds
+    by walking back from lo (q = 0 always hits, so there is one), and it
+    carries into each later block the last hit of the blocks before.  A
+    wider window can take in a q between that
+    hit and the block's start; such a q missed its own block's window, so
+    it fails the pivot's exact test.  The first item, which rejects most
+    candidates, gets its own block window fh first, in the pivot's form
+    and on its own convergent fn/fb from ``walk``, widened the same way:
+    its remainder shifted by fh, r = (fn*q + fh) mod fb, is below 2*fh + 1
+    exactly when fb * ||q*fn/fb|| <= fh (for every q once 2*fh + 1 >= fb),
+    so a hit is rejected by one compare against a per-block integer, and
+    only the others pay the exact test.  r is seeded once per block at the
+    carried q and then carried: each of the three gaps moves it by its own
+    residue step (the remainders of q1, q2 and q1 + q2, computed once per
+    block), and a sum past fb wraps with one subtraction.  So the walk
+    offers, in order, every q that a walk on x's own windows would offer
+    and a few more, and each inside the first item's window goes through
+    the exact test of every item.
     """
     if lo > hi:
         return None
     if _fits(items, lo):
         return lo
-    pn, pd, pa, pc, pden = items[-1]
-    fn, fd, fa, fc, fden = items[0]
+    _, pd, pa, pc, pden = items[-1]
+    _, fd, fa, fc, fden = items[0]
+    pn, pb, path, fn, fb = walk
     size = math.isqrt(_BLOCK_EXCESS * pden * pd // pa) + 1 if pa else hi - lo + 1
     q = None
     for first in range(lo + 1, hi + 1, size):
         last = min(first + size - 1, hi)
         h = (pa * last + pc) // pden
+        if pb != pd:
+            h = pb * h // pd + 1
         w = 2 * h + 1
-        # Shifted residues s = (pn*q + h) mod pd put the window at 0..w-1.
+        # Shifted residues s = (pn*q + h) mod pb put the window at 0..w-1.
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
         # the first whose residue moves back by v < w.
         q1, u, q2, v = _steps(path, w)
         if q is None:
             # Walking back from lo moves the residue by -pn per step.
-            q = lo - _first_in_window(-pn, pn * lo + h, pd, w)
-        s = (pn * q + h) % pd
+            q = lo - _first_in_window(-pn, pn * lo + h, pb, w)
+        s = (pn * q + h) % pb
         # The first item's residue, shifted the same way: r = (fn*q + fh)
-        # mod fd puts its window at 0..fw-1.  r moves by f1, f2 or f3, that
-        # of the step taken, each below fd, so one subtraction wraps it.
+        # mod fb puts its window at 0..fw-1.  r moves by f1, f2 or f3, that
+        # of the step taken, each below fb, so one subtraction wraps it.
         fh = (fa * last + fc) // fden
+        if fb != fd:
+            fh = fb * fh // fd + 1
         fw = 2 * fh + 1
-        r = (fn * q + fh) % fd
-        f1, f2 = fn * q1 % fd, fn * q2 % fd
-        f3 = (f1 + f2) % fd
+        r = (fn * q + fh) % fb
+        f1, f2 = fn * q1 % fb, fn * q2 % fb
+        f3 = (f1 + f2) % fb
         while True:
             # Three-gap rule: u + v >= w, so at most one of s + u and s - v
             # stays in the window; when neither does, s + u - v does.
@@ -381,22 +410,21 @@ def _first_fit(
             if q + step > last:
                 break
             q += step
-            if r >= fd:
-                r -= fd
+            if r >= fb:
+                r -= fb
             if r < fw and _fits(items, q):
                 return q
     return None
 
 
-def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> tuple[list, list]:
-    """Integer parts (i, xn, xd, tn, td) of the items in test order, and the pivot's descent.
+def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> list:
+    """Integer parts (i, xn, xd, tn, td) of the items in test order.
 
     The pivot, whose error window :func:`_first_fit` walks, is the first
     item with the smallest weight t_i, so a scan visits at most about
     2*t_pivot*t_min of its range; it comes last, and the others follow
-    from the smallest weight up.  A scan reads its steps off the one
-    descent on the pivot (farey._descent), so a sweep descends it once
-    for all its points.  Item i is x_i = xn/xd with weight t_i = tn/td.
+    from the smallest weight up.  Item i is x_i = xn/xd with weight
+    t_i = tn/td.
     """
     parts = [
         (i, x.numerator, x.denominator, t.numerator, t.denominator)
@@ -409,7 +437,24 @@ def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> tuple[list, list]:
     # Every candidate is in the pivot's window, so test the pivot last and
     # the other items from the tightest bound up: a miss shows sooner.
     parts.sort(key=lambda part: (part[0] == pivot, keys[part[0]]))
-    return parts, _descent(parts[-1][1], parts[-1][2])
+    return parts
+
+
+def _walk(first: tuple[int, int], pivot: tuple[int, int], top: int) -> tuple:
+    """The walk of :func:`_first_fit` for scans with hi <= top.
+
+    ``first`` and ``pivot`` are (xn, xd) of the first item tested and of
+    the pivot.  The walk is (a, b, path, c, e): the pivot's convergent a/b
+    and the first item's c/e, each the target itself if its denominator
+    is at most top and else its first convergent with denominator >= top
+    (farey._convergent), and the descent on a/b (farey._descent), which
+    the scans extend in place.  A plan builds it once for the largest q
+    any of its scans can reach, so a sweep descends a/b once for all its
+    points.
+    """
+    a, b = _convergent(*pivot, top)
+    c, e = (a, b) if first == pivot else _convergent(*first, top)
+    return a, b, _descent(a, b), c, e
 
 
 def _solution(xs: Sequence[Fraction], q: int, epsilon: Fraction, method: str) -> Solution:
@@ -437,14 +482,18 @@ def _smallest_witnesses(
     range exceeds ``max_scan`` and that has no witness within it raises
     BudgetExceededError, as a per-point scan would.
 
-    Every walk of the sweep reads its steps off the plan's one descent on
-    the pivot (:func:`_plan`), which therefore goes down each level once
-    per sweep.  The sweep is set up in integers from the numerators and
-    denominators of eps, x_i and t_i, read once per call: each point's
-    range end and each item's bound build no Fraction.
+    Every walk of the sweep runs on the one walk of the plan
+    (:func:`_walk`), built for the last point's range, the largest, so it
+    descends the pivot's convergent once per sweep.  The sweep is set up
+    in integers from the numerators and denominators of eps, x_i and t_i,
+    read once per call: each point's range end and each item's bound
+    build no Fraction.
     """
-    parts, path = _plan(cs.items)
+    parts = _plan(cs.items)
     *_, tn_min, td_min = parts[-1]
+    # The last point's range end is the largest.
+    top = (tn_min * grid[-1].denominator) // (td_min * grid[-1].numerator)
+    walk = _walk(parts[0][1:3], parts[-1][1:3], min(top, max_scan))
     xs = cs.xs
     points: list[tuple[int, Solution | None]] = []
     start = 1
@@ -458,7 +507,7 @@ def _smallest_witnesses(
         # the test and the window floor((a*b + c)/den) depend only on its
         # value, so they match those of the reduced eps*t and need no gcd.
         items = [(xn, xd, en * tn * xd, 0, ed * td) for _, xn, xd, tn, td in parts]
-        q = _first_fit(items, start, limit, path)
+        q = _first_fit(items, start, limit, walk)
         if q is not None:
             points.append((q_max, _solution(xs, q, epsilon, "brute")))
             start = q
@@ -557,7 +606,8 @@ def dirichlet_solve(
     :func:`_first_fit` walks the window of the plan's pivot, the first
     target x_1 (:func:`_plan`; the weights are uniform), with the fixed
     C = floor(xd/T), which is exactly the test ||q*x_1|| <= 1/T, so a scan
-    visits about 2/T of its range.
+    visits about 2/T of its range; it walks on the convergents for q up to
+    T**n - 1 (:func:`_walk`).
     """
     xs = tuple(Fraction(x) for x in xs)
     if not xs:
@@ -580,9 +630,10 @@ def dirichlet_solve(
         raise BudgetExceededError(
             f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"
         )
-    parts, path = _plan([(x, 1) for x in xs])
+    parts = _plan([(x, 1) for x in xs])
+    walk = _walk(parts[0][1:3], parts[-1][1:3], q_max)
     # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||.
-    q = _first_fit([(xn, xd, 0, xd, T) for _, xn, xd, _, _ in parts], 1, q_max, path)
+    q = _first_fit([(xn, xd, 0, xd, T) for _, xn, xd, _, _ in parts], 1, q_max, walk)
     if q is not None:
         return _solution(xs, q, Fraction(1, T), "dirichlet")
     raise InternalError(

@@ -21,20 +21,28 @@ def load_tool():
 
 def test_sweep_deck_profile_lists_every_stratum():
     # One pass over the sweep deck: every answer checks out, and each
-    # stratum of the deck gets its line before the slowest requests.
+    # stratum of the deck gets its line before the slowest requests, with
+    # its count of exact tests last.  A second run counts the same tests.
     deck = load_tool().load_workloads().DECKS["sweep"]
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "--workload", "sweep", "--seed", "1", "--passes", "1"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
-    table, slowest = proc.stdout.split("\nslowest 10 requests\n")
-    rows = table.splitlines()[2:]
-    assert [row.split()[0] for row in rows] == list(deck)
-    assert [int(row.split()[1]) for row in rows] == list(deck.values())
-    assert len(slowest.splitlines()) == 1 + 10
+    fits = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(TOOL), "--workload", "sweep", "--seed", "1", "--passes", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        table, slowest = proc.stdout.split("\nslowest 10 requests\n")
+        header, columns, *rows = table.splitlines()
+        assert columns.split()[-1] == "fits"
+        assert [row.split()[0] for row in rows] == list(deck)
+        assert [int(row.split()[1]) for row in rows] == list(deck.values())
+        assert all(len(row.split()) == 5 for row in rows)
+        fits.append([int(row.split()[-1]) for row in rows])
+        assert header.endswith(f", {sum(fits[-1])} _fits calls per pass")
+        assert len(slowest.splitlines()) == 1 + 10
+    assert fits[0] == fits[1] and sum(fits[0]) > 0
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

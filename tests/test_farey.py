@@ -262,6 +262,46 @@ def test_brackets_read_off_the_descent_equal_the_mediant_loop(case):
     assert simultaneous._best_at_order(y, order) == best_at_order(y, order)
 
 
+def convergents(x):
+    # Every convergent p_k/q_k of x, from its continued fraction.
+    (p0, q0), (p, q) = (1, 0), (math.floor(x), 1)
+    found = [(p, q)]
+    while x != math.floor(x):
+        x = 1 / (x - math.floor(x))
+        k = math.floor(x)
+        (p0, q0), (p, q) = (p, q), (k * p + p0, k * q + q0)
+        found.append((p, q))
+    return found
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 10**12).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
+        st.integers(20, 64).flatmap(lambda digits: st.builds(F, st.integers(-(10**digits), 10**digits), st.just(10**digits))),
+        st.builds(lambda p, q, s: F(p, q) + s * F(1, 10**60), st.integers(-5, 5), st.integers(1, 9), st.sampled_from([1, -1])),
+    ),
+    st.one_of(st.integers(-2, 3), st.integers(1, 10**7)),
+)
+@example(F(1, 2) + F(1, 10**60), 3000)
+@example(F(5, 2), 1)
+@example(F(5, 3), 0)
+def test_convergent_covers_the_range_up_to_top(x, top):
+    # The walk of q <= top on a/b widens each window by one unit: it needs
+    # b >= min(top, xd) and top*|b*xn - a*xd| < xd.  a/b is x itself when
+    # xd <= top, else the first convergent with b >= top, and an integer
+    # a/1 for top <= 1.
+    xn, xd = x.numerator, x.denominator
+    a, b = farey._convergent(xn, xd, top)
+    assert b >= min(top, xd) and top * abs(b * xn - a * xd) < xd
+    if xd <= top:
+        assert (a, b) == (xn, xd)
+    elif top <= 1:
+        assert b == 1
+    else:
+        assert (a, b) == next(c for c in convergents(x) if c[1] >= top)
+
+
 def test_verify_properties_order_5():
     report = verify_farey_properties(5)
     assert report.all_passed

@@ -28,6 +28,7 @@ from fareyapprox import (
     compose_solve,
     dirichlet_solve,
     epsilon_threshold,
+    farey,
     nearest_int_distance,
     parse_real,
 )
@@ -378,14 +379,21 @@ def linear_fits(xn, xd, lo, hi, a, c, den):
     return [q for q in range(lo, hi + 1) if min(xn * q % xd, -xn * q % xd) * den <= a * q + c]
 
 
-def listed_fits(items, lo, hi, path):
+def walk_for(items, top):
+    # The walk of _plan's scans for q up to top: the first item's and the
+    # pivot's convergents (each target itself when its denominator is at
+    # most top) and the descent on the pivot's.
+    return simultaneous._walk(items[0][:2], items[-1][:2], top)
+
+
+def listed_fits(items, lo, hi, walk):
     # Every q in lo..hi that fits the items, each found by a scan that
     # starts just past the fit before, as a record walk runs them.
     fits = []
-    q = simultaneous._first_fit(items, lo, hi, path)
+    q = simultaneous._first_fit(items, lo, hi, walk)
     while q is not None:
         fits.append(q)
-        q = simultaneous._first_fit(items, q + 1, hi, path)
+        q = simultaneous._first_fit(items, q + 1, hi, walk)
     return fits
 
 
@@ -396,8 +404,8 @@ def test_window_hits_equal_linear_filter(walk):
     # fit of lo..hi miss none that a linear scan finds.
     xn, xd, lo, hi, (a, c, den) = walk
     expected = linear_fits(xn, xd, lo, hi, a, c, den)
-    path = simultaneous._descent(xn, xd)
-    assert listed_fits([(xn, xd, a, c, den)], lo, hi, path) == expected
+    item = (xn, xd, a, c, den)
+    assert listed_fits([item], lo, hi, walk_for([item], hi)) == expected
 
 
 def per_block_steps(xn, xd, w):
@@ -507,12 +515,13 @@ def shared_walks(draw):
 @given(shared_walks())
 def test_walks_sharing_a_descent_equal_linear_filter(case):
     # Scans of one target, each with its own bound and lo, as a sweep's
-    # points make them, read their steps off one path.
+    # points make them, read their steps off one walk, built for the
+    # largest hi.
     xn, xd, walks = case
-    path = simultaneous._descent(xn, xd)
+    walk = walk_for([(xn, xd)], max(hi for _, hi, _ in walks))
     for lo, hi, (a, c, den) in walks:
         expected = linear_fits(xn, xd, lo, hi, a, c, den)
-        assert listed_fits([(xn, xd, a, c, den)], lo, hi, path) == expected
+        assert listed_fits([(xn, xd, a, c, den)], lo, hi, walk) == expected
 
 
 _SMALL_OR_FAR = st.one_of(
@@ -574,8 +583,7 @@ def test_first_fit_equals_linear_scan(scan):
         ),
         None,
     )
-    xn, xd, *_ = items[-1]
-    assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
+    assert simultaneous._first_fit(items, lo, hi, walk_for(items, hi)) == expected
 
 
 def first_linear_fit(items, lo, hi):
@@ -598,8 +606,70 @@ def test_first_fit_equals_linear_scan_up_to_a_million(scan):
     # lo + 1, and at such q a block with a narrow window is thousands long.
     items, lo, hi = scan
     expected = first_linear_fit(items, lo, hi)
-    xn, xd, *_ = items[-1]
-    assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
+    assert simultaneous._first_fit(items, lo, hi, walk_for(items, hi)) == expected
+
+
+# Within 10**-60 of p/q, so the partial quotient after p/q is about 10**60
+# and the first convergent with denominator >= top is near 10**60 / q.
+NEAR_RATIONALS = tuple(F(p, q) + s * F(1, 10**60) for p, q in [(1, 2), (2, 3), (5, 7)] for s in (1, -1))
+
+
+@st.composite
+def widened_walks(draw):
+    # One walk built for top serves scans whose hi is any value up to top.
+    # Targets: 64-digit stand-ins, near-rationals, rationals with xd <= top
+    # (the walk is on the target itself) and with xd above top.  Bounds:
+    # oracle-style slopes with c = 0 or c = -1, whose den up to 64*top
+    # keeps the windows a few residues wide, or fixed windows (a = 0), as
+    # Dirichlet's ||q*x|| <= 1/T with T up to top, where a fit can lie at
+    # the edge of every item's window.
+    top = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    target = st.one_of(
+        st.sampled_from(STANDINS_64 + NEAR_RATIONALS),
+        st.integers(1, top).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
+        st.integers(top + 1, 10**9).flatmap(lambda xd: st.builds(F, st.integers(-3 * xd, 3 * xd), st.just(xd))),
+    )
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = draw(target)
+        xn, xd = x.numerator, x.denominator
+        if draw(st.booleans()):
+            den = draw(st.integers(1, 64 * top))
+            bound = (draw(st.integers(1, 4)) * xd, draw(st.sampled_from([0, -1])), den)
+        else:
+            bound = (0, xd, draw(st.one_of(st.integers(1, 12), st.integers(1, top))))
+        items.append((xn, xd, *bound))
+    scans = []
+    for hi in draw(st.lists(st.integers(0, top), min_size=1, max_size=4)):
+        scans.append((draw(st.integers(1, max(hi, 1))), hi))
+    return items, top, scans
+
+
+@settings(max_examples=300, deadline=None)
+@given(widened_walks())
+# The pivot, 10**-60 above 1/2 and under a strict bound, has its first
+# convergent past top = 3000 at a denominator near 5*10**59, so the walk's
+# residues are nearly as long as the target's; the first item is sqrt2.
+@example((
+    [
+        (_SQRT2.numerator, _SQRT2.denominator, _SQRT2.denominator, 0, 9000),
+        (NEAR_RATIONALS[0].numerator, NEAR_RATIONALS[0].denominator, NEAR_RATIONALS[0].denominator, -1, 3000),
+    ],
+    3000,
+    [(1, 3000), (1500, 2999), (2, 2)],
+))
+# One item, so it is the pivot and the first item: q = 3 fits ||q*x|| <=
+# 1/8, and on x's convergent 3/8 for top = 4 its distance is 1, past the
+# unwidened window 8*h // xd = 0 of h = xd // 8.
+@example(([(1028965, 2829647, 0, 2829647, 8)], 4, [(1, 3)]))
+def test_widened_walk_equals_linear_scan_below_its_top(case):
+    # The walk runs on convergents whose windows are one unit wider, which
+    # holds for every q <= top: a scan with any hi <= top finds what a
+    # linear scan of the exact test finds.
+    items, top, scans = case
+    walk = walk_for(items, top)
+    for lo, hi in scans:
+        assert simultaneous._first_fit(items, lo, hi, walk) == first_linear_fit(items, lo, hi)
 
 
 @st.composite
@@ -652,32 +722,37 @@ def block_ends(items, lo, hi):
 
 
 def walked_hits(items, lo, hi):
-    # The q a walk puts through the exact test, found by looking at every
-    # q: lo, then block by block each q past the last hit so far (q = 0
-    # hits every window) that hits the block's pivot window and the first
-    # item's window, each taken at the block's end, up to the first that
-    # fits every item.
-    def dist(item, q):
-        return min(item[0] * q % item[1], -item[0] * q % item[1])
+    # The q a walk built for top = hi puts through the exact test, found by
+    # looking at every q: lo, then block by block each q past the last hit
+    # so far (q = 0 hits every window) that hits the block's pivot window
+    # and the first item's window, each taken at the block's end on the
+    # item's convergent of the walk, d/e, and widened to e*h // xd + 1
+    # when d/e is not the item's target, up to the first q that fits
+    # every item.
+    pn, pd, _, fn, fd = walk_for(items, hi)
 
-    def half(item, b):
-        return (item[2] * b + item[3]) // item[4]
+    def dist(n, d, q):
+        return min(n * q % d, -n * q % d)
+
+    def half(item, e, b):
+        h = (item[2] * b + item[3]) // item[4]
+        return h if e == item[1] else e * h // item[1] + 1
 
     def fits(q):
-        return all(dist(item, q) * item[4] <= item[2] * q + item[3] for item in items)
+        return all(dist(*item[:2], q) * item[4] <= item[2] * q + item[3] for item in items)
 
     seen = [lo]
     if fits(lo):
         return seen
     q = None
     for last in block_ends(items, lo, hi):
-        h, fh = half(items[-1], last), half(items[0], last)
+        h, fh = half(items[-1], pd, last), half(items[0], fd, last)
         if q is None:
-            q = next(j for j in range(lo, -1, -1) if dist(items[-1], j) <= h)
+            q = next(j for j in range(lo, -1, -1) if dist(pn, pd, j) <= h)
         for j in range(q + 1, last + 1):
-            if dist(items[-1], j) <= h:
+            if dist(pn, pd, j) <= h:
                 q = j
-                if dist(items[0], j) <= fh:
+                if dist(fn, fd, j) <= fh:
                     seen.append(j)
                     if fits(j):
                         return seen
@@ -745,9 +820,8 @@ def test_first_fit_carries_the_first_residue_across_blocks(scan):
         seen.append(q)
         return fits(items, q)
 
-    xn, xd, *_ = items[-1]
     with mock.patch.object(simultaneous, "_fits", counting):
-        assert simultaneous._first_fit(items, lo, hi, simultaneous._descent(xn, xd)) == expected
+        assert simultaneous._first_fit(items, lo, hi, walk_for(items, hi)) == expected
     assert seen == walked_hits(items, lo, hi)
 
 
@@ -774,14 +848,14 @@ def test_window_walk_starts_at_lo():
     lo, hi = 10**12, 10**12 + 20_000
     script = (
         "from fareyapprox import parse_real\n"
-        "from fareyapprox.simultaneous import _descent, _first_fit\n"
+        "from fareyapprox.simultaneous import _first_fit, _walk\n"
         "x = parse_real('sqrt2', 5000) - 1\n"
         "xn, xd = x.numerator, x.denominator\n"
-        "items, path, fits = [(xn, xd, 0, xd, 1000)], _descent(xn, xd), []\n"
-        f"q = _first_fit(items, {lo}, {hi}, path)\n"
+        f"items, walk, fits = [(xn, xd, 0, xd, 1000)], _walk((xn, xd), (xn, xd), {hi}), []\n"
+        f"q = _first_fit(items, {lo}, {hi}, walk)\n"
         "while q is not None:\n"
         "    fits.append(q)\n"
-        f"    q = _first_fit(items, q + 1, {hi}, path)\n"
+        f"    q = _first_fit(items, q + 1, {hi}, walk)\n"
         "print(*fits)\n"
     )
     proc = subprocess.run(
@@ -898,10 +972,12 @@ def recorded_windows():
 
 
 def test_sweep_descends_the_pivot_once(monkeypatch):
-    # Every block of every point reads its steps off one descent on the
-    # pivot, which takes each level's batched step once for the whole
-    # sweep: 7 levels below the root, where a descent from the root in
-    # each of the 18 blocks walked takes 111 batched steps.
+    # Every block of every point reads its steps off one descent, on the
+    # pivot's convergent for the last point's range end, 10**5: 191861 /
+    # 110771 for the 64-digit sqrt3.  It takes each level's batched step
+    # once for the whole sweep: 7 levels below the root, where a descent
+    # from the root in each of the 18 blocks walked takes 111 batched
+    # steps.  Each block's window is widened to the convergent's residues.
     paths = []
     descent = simultaneous._descent
 
@@ -913,18 +989,20 @@ def test_sweep_descends_the_pivot_once(monkeypatch):
             super().append(level)
 
     def counting_descent(xn, xd):
-        paths.append(CountingPath(descent(xn, xd)))
-        return paths[-1]
+        paths.append((xn, xd, CountingPath(descent(xn, xd))))
+        return paths[-1][2]
 
     monkeypatch.setattr(simultaneous, "_descent", counting_descent)
     c = six_constants()
     with recorded_windows() as windows:
         rep = epsilon_threshold(c, [F(1, 10**k) for k in range(3, 7)])
     assert rep.feasible == (False,) * 4
-    [path] = paths
-    assert path.appends == len(path) - 1 == len(set(path)) - 1
+    [(xn, xd, path)] = paths
     pivot = c.items[1][0]  # sqrt3, the first item with the smallest weight
-    per_block = [per_block_steps(pivot.numerator, pivot.denominator, w)[1] for w in windows]
+    assert (xn, xd) == farey._convergent(pivot.numerator, pivot.denominator, 10**5)
+    assert (xn, xd) == (191861, 110771)
+    assert path.appends == len(path) - 1 == len(set(path)) - 1
+    per_block = [per_block_steps(xn, xd, w)[1] for w in windows]
     assert len(path) - 1 <= max(per_block)
     assert (len(path) - 1, len(windows), sum(per_block)) == (7, 18, 111)
 
@@ -940,11 +1018,15 @@ def test_dirichlet_walk_yields_a_pinned_count(visited):
 
 def test_dirichlet_scan_reads_its_steps_once():
     # The Dirichlet bound fixes the window (a = 0), so the walk is one
-    # block and reads its steps off the descent once for all 422 hits.
+    # block and reads its steps once for all its hits, off the descent on
+    # the first target's convergent for q up to T**n - 1 = 10**6 - 1, with
+    # the window h = xd // 10 widened to b*h // xd + 1 on its residues.
     xs = six_constants().xs
     with recorded_windows() as windows:
         assert dirichlet_solve(xs, 10).q == 2105
-    assert windows == [2 * (xs[0].denominator // 10) + 1]
+    xd = xs[0].denominator
+    _, b = farey._convergent(xs[0].numerator, xd, 10**6 - 1)
+    assert windows == [2 * (b * (xd // 10) // xd + 1) + 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -967,7 +1049,8 @@ def test_oracle_blocks_stay_within_the_bound(numerators, m):
 
 
 def test_every_scan_descends_its_pivot_once(monkeypatch):
-    # Each scan sets up one plan, which descends the first item with the
+    # Each scan sets up one plan, which descends the convergent, for the
+    # largest q the plan's scans reach, of the first item with the
     # smallest weight: sqrt3 in six_constants(), and the first target for
     # Dirichlet, whose weights are uniform.  compare plans its two scans
     # on one target.
@@ -975,8 +1058,11 @@ def test_every_scan_descends_its_pivot_once(monkeypatch):
     descent = simultaneous._descent
 
     def recording_descent(xn, xd):
-        targets.append(F(xn, xd))
+        targets.append((xn, xd))
         return descent(xn, xd)
+
+    def convergent(x, top):
+        return farey._convergent(x.numerator, x.denominator, top)
 
     monkeypatch.setattr(simultaneous, "_descent", recording_descent)
     c = six_constants()
@@ -985,20 +1071,25 @@ def test_every_scan_descends_its_pivot_once(monkeypatch):
     epsilon_threshold(c, [F(1, 10**k) for k in range(2, 5)])
     dirichlet_solve(xs, 10)
     compare(cs(*[(x, F(1)) for x in xs]), F(1, 10**3), 10)
-    assert targets == [xs[1], xs[1], xs[0], xs[0], xs[0]]
+    # Range ends: t_min/eps = 100 and 1000 for the oracle and the sweep,
+    # T**n - 1 for Dirichlet, t/eps = 1000 for compare's oracle.
+    tops = [(xs[1], 100), (xs[1], 1000), (xs[0], 10**6 - 1), (xs[0], 1000), (xs[0], 10**6 - 1)]
+    assert targets == [convergent(x, top) for x, top in tops]
 
 
 def test_sweep_tries_previous_witness_first(visited):
     # 200 points share 7 witnesses: each point first tests the witness of
     # the one before (q = 1 for the first), so a walk runs only where the
-    # witness changes, and the walks put 26 more q through the exact test.
+    # witness changes, and the walks put 27 more q through the exact test.
     # Each walk finds its witness in its first block, isqrt(8*k) + 1 long
-    # at eps = 1/k, and takes that block's end window for all its q.
+    # at eps = 1/k, and takes that block's end window for all its q, on
+    # the convergents for q up to 1005 (t/eps at the last point), each
+    # window one unit wider: that lets one more q through.
     c = cs((SQRT2_50, F(1)), (parse_real("sqrt3", 50), F(1)))
     rep = epsilon_threshold(c, [F(1, k) for k in range(10, 1010, 5)])
     assert all(rep.feasible)
     assert len({w.q for w in rep.witnesses}) == 7
-    assert len(visited) == 200 + 26
+    assert len(visited) == 200 + 27
 
 
 def test_epsilon_threshold_examples():

@@ -9,10 +9,13 @@ answer of every pass is checked with ``workloads.check`` (its committed
 digest and the independent re-checks); any problem is printed and the
 exit code is 1.  Otherwise it prints, for each stratum of the deck, its
 request count, the median time of its requests (each request's time is
-its median over the passes) and the stratum's share of a pass, then the
-ten slowest requests with their own share.  Times are wall-clock
-seconds of this machine, with no calibration, so they compare runs made
-one after the other on one machine, not across machines.
+its median over the passes), the stratum's share of a pass and its
+requests' calls of the scans' exact test ``simultaneous._fits``, then
+the ten slowest requests with their own share.  The calls are counted in
+one more pass, untimed, so a change of time reads as less work or as
+cheaper work; they repeat exactly from run to run.  Times are
+wall-clock seconds of this machine, with no calibration, so they compare
+runs made one after the other on one machine, not across machines.
 """
 
 from __future__ import annotations
@@ -35,6 +38,30 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def count_fits(workloads, fa, requests) -> list[int]:
+    # The _fits calls of each request in one pass, with the module's _fits
+    # wrapped by a counter for the pass only.
+    sim = fa.simultaneous
+    fits = sim._fits
+    calls = 0
+
+    def counting(items, q):
+        nonlocal calls
+        calls += 1
+        return fits(items, q)
+
+    counts = []
+    sim._fits = counting
+    try:
+        for req in requests:
+            before = calls
+            workloads.execute(fa, req)
+            counts.append(calls - before)
+    finally:
+        sim._fits = fits
+    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
                 problem = workloads.check(fa, req, result)
                 if problem is not None:
                     problems.append(problem)
+        fits = count_fits(workloads, fa, requests)
     if problems:
         for problem in problems:
             print(f"problem: {problem}")
@@ -69,12 +97,14 @@ def main(argv: list[str] | None = None) -> int:
     medians = [statistics.median(ts) for ts in times]
     total = sum(medians)
     print(f"{args.workload} seed {args.seed}: {len(deck)} requests, {args.passes} passes, "
-          f"{total * 1e3:.2f} ms per pass (sum of per-request medians)")
-    print(f"{'stratum':<28}{'requests':>9}{'median ms':>11}{'share':>8}")
+          f"{total * 1e3:.2f} ms per pass (sum of per-request medians), "
+          f"{sum(fits)} _fits calls per pass")
+    print(f"{'stratum':<28}{'requests':>9}{'median ms':>11}{'share':>8}{'fits':>9}")
     for stratum in workloads.DECKS[args.workload]:
-        own = [m for entry, m in zip(deck, medians) if entry["stratum"] == stratum]
-        print(f"{stratum:<28}{len(own):>9}{statistics.median(own) * 1e3:>11.3f}"
-              f"{sum(own) / total:>8.1%}")
+        own = [k for k, entry in enumerate(deck) if entry["stratum"] == stratum]
+        spent = [medians[k] for k in own]
+        print(f"{stratum:<28}{len(own):>9}{statistics.median(spent) * 1e3:>11.3f}"
+              f"{sum(spent) / total:>8.1%}{sum(fits[k] for k in own):>9}")
     print(f"\nslowest {min(SLOWEST, len(deck))} requests")
     print(f"{'id':<10}{'stratum':<28}{'ms':>9}{'share':>8}")
     slowest = sorted(zip(medians, deck), key=lambda pair: -pair[0])[:SLOWEST]
