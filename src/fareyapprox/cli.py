@@ -28,6 +28,7 @@ from .farey import ExactHit, FareyPair, _farey_pairs, farey_neighbors
 from .mediants import _plan_subdivision
 from .rationals import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     _int_text,
     _pair_lines,
     _past_digit_limit,
@@ -442,6 +443,10 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # Checked before any input is read, so the message names the option
+        # and not the first file line or value it would apply to.
+        if not 1 <= getattr(args, "precision", DEFAULT_PRECISION) <= MAX_PRECISION:
+            raise InvalidInputError(f"--precision must be an integer in 1..{MAX_PRECISION}")
         return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

@@ -139,7 +139,7 @@ def _convergent(xn: int, xd: int, top: int) -> tuple[int, int]:
     The convergents p_k/q_k of x = xn/xd satisfy |q_k*x - p_k| <= 1/q_(k+1)
     (Khinchin 1964), and q_(k+1) > q_k from k = 1 on, so the first b >= top
     has top*|b*xn - a*xd| < xd: a walk on a/b up to q = top is a walk on x
-    with windows one unit of 1/b wider (simultaneous._first_fit).  For
+    with windows rounded up to steps of 1/b (simultaneous._first_fit).  For
     top <= 1, b = 1 and a is the integer nearest x, as |x - a| <= 1/2.
     Only the denominators are carried, by Euclid's algorithm on xn and xd,
     two steps a turn so that no pair is swapped, and a is the integer

@@ -35,38 +35,40 @@ of its q's own would (one block for the baseline's fixed window).
 The walk does not run on the pivot x = xn/xd itself, whose xd can have
 hundreds of bits, but on its convergent a/b for the largest q its scans
 can reach, top: the first with b >= top, or x itself if xd <= top
-(farey._convergent).  Such a convergent has |b*x - a| < 1/top
-(Khinchin 1964), so for q <= top the distances b*||q*a/b|| and
-b*||q*x|| differ by less than one unit, and a window of half-width h on
-x's scale, xd*||q*x|| <= h, lies inside the window b*h // xd + 1 on
-a/b's: every q the exact test can accept is still walked, with about
-2*top/b <= 2 more per scan, and the residues walked are below b, which
-is near top unless x lies very close to a fraction of smaller
-denominator.  So a scan needs hi <= top.  The gaps of a block are the steps
-farey._steps reads off the Stern-Brocot descent on a/b, the kernel off
-which compose_solve's Farey brackets are read too.  :func:`_walk`
-builds a plan's walk once, for the largest range of its scans, and
-farey._steps extends the descent only as deep as the narrowest window
-needs, so a sweep descends a/b once for all its points.  :func:`_plan`
-sets up every scan: the items' integer parts in test order.  Each q the
-walk reaches goes through :func:`_fits`, the one exact integer test of
-every item, so the answers are those of a full scan.  The test reads
-only the distance xd * ||q*x_i||, so a q costs one remainder per item
-until an item rejects it, and :func:`_solution`, the one builder of a
-scan's answer, computes the numerators for the q returned only.  The
-first item tested, which rejects most q, compares the remainder of its
-own convergent c/e for top with its window on the block, widened the
-same way, before the exact test, and the walk carries that remainder
-from hit to hit, adding the remainder of the gap taken, so most q cost
-an addition and one compare on integers below e.  A walk starts at the
-last hit at or below its lower end, which a Euclid-style descent finds
-in O(log b) steps, so its cost does not grow with the q below its range.
+(farey._convergent).  Such a convergent has |b*x - a| < 1/top (Khinchin
+1964), so for q <= top the distances b*||q*a/b|| and b*||q*x|| differ by
+less than one unit, and a window of half-width h on x's scale,
+xd*||q*x|| <= h, lies inside the window ceil(b*h/xd) on a/b's, h rounded
+up to the next step of 1/b: every q the exact test can accept is still
+walked, with about 2*top/b <= 2 more per scan, and the residues walked
+are below b, which is near top unless x lies very close to a fraction of
+smaller denominator.  So a scan needs hi <= top.  The gaps of a block
+are the steps farey._steps reads off the Stern-Brocot descent on a/b,
+the kernel off which compose_solve's Farey brackets are read too.
+:func:`_walk` builds a plan's walk once, for the largest range of its
+scans, and farey._steps extends the descent only as deep as the
+narrowest window needs, so a sweep descends a/b once for all its
+points.  :func:`_plan` sets up every scan: the items' integer parts in
+test order.  Each q the walk reaches goes through :func:`_fits`, the one
+exact integer test of every item, so the answers are those of a full
+scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
+remainder per item until an item rejects it, and :func:`_solution`, the
+one builder of a scan's answer, computes the numerators for the q
+returned only.  The first item tested, which rejects most q, compares
+the remainder of its own convergent c/e for top with its window on the
+block, rounded up the same way, before the exact test, and the walk
+carries that remainder from hit to hit, adding the remainder of the gap
+taken, so most q cost an addition and one compare on integers below e.
+A walk starts at the last hit at or below its lower end, which a
+Euclid-style descent finds in O(log b) steps, so its cost does not grow
+with the q below its range.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from ._record import record
@@ -228,6 +230,8 @@ def check_solution(
         raise InvalidInputError("q must be a positive integer")
     if len(ps) != cs.n:
         raise InvalidInputError(f"expected {cs.n} numerators, got {len(ps)}")
+    if not all(isinstance(p, int) for p in ps):
+        raise InvalidInputError("numerators must be integers")
     per_item = []
     for (_, t), err in zip(cs.items, _exact_errors(cs.xs, q, ps)):
         bound = epsilon * t
@@ -312,13 +316,14 @@ def _first_fit(
     Each item is (xn, xd, a, c, den) with xn/xd in lowest terms, a >= 0,
     den >= 1 and a*b + c >= 0 at every block end b below (so c = -1 with
     a >= 1, a strict bound, is allowed).  ``walk`` is :func:`_walk`'s for
-    the first item, the pivot (the last item) and a top >= hi.  lo is
-    tested first.  The other candidates are the q above it whose pivot
-    lies in its window: a*q + c does not decrease in q, so on a block of q
-    ending at b (at most hi) a q that fits the pivot has xd * ||q*x|| <=
-    h = (a*b + c) // den, and no fit is missed.  h does not decrease in b,
-    so a hit of one block's window is a hit of the next block's, and any
-    partition of lo+1..hi into blocks gives the same answer.
+    a plan whose first item and pivot (the last item) are these items',
+    and a top >= hi.  lo is tested first.  The other candidates are the q
+    above it whose pivot lies in its window: a*q + c does not decrease in
+    q, so on a block of q ending at b (at most hi) a q that fits the pivot
+    has xd * ||q*x|| <= h = (a*b + c) // den, and no fit is missed.  h
+    does not decrease in b, so a hit of one block's window is a hit of the
+    next block's, and any partition of lo+1..hi into blocks gives the same
+    answer.
 
     The walk steps on the pivot's convergent pn/pb from ``walk``, not on
     x = xn/xd itself, so it carries residues below pb, about top, where xd
@@ -326,9 +331,9 @@ def _first_fit(
     and pb*||q*x|| differ by less than one unit, q*|pb*xn - pn*xd| / xd,
     as top*|pb*xn - pn*xd| < xd (farey._convergent).  So a q with
     xd * ||q*x|| <= h has pb*||q*pn/pb|| < pb*h/xd + 1, an integer, at
-    most h' = pb*h // xd + 1: the window h' (h itself when pb = xd, a walk
-    on x) takes in every hit of h, and about 2*top/pb <= 2 more q per
-    scan.  This is why hi <= top.
+    most h' = ceil(pb*h/xd), h rounded up to the next step of 1/pb: the
+    window h' (h itself when pb = xd, a walk on x) takes in every hit of
+    h, and about 2*top/pb <= 2 more q per scan.  This is why hi <= top.
 
     The blocks have one length L from lo + 1, the last cut at hi.  A block
     that takes its end's window for every q walks about a*L**2/(den*xd)
@@ -342,28 +347,27 @@ def _first_fit(
     sqrt(K/(eps*t_pivot)) it walks at most ceil(1/(2*sqrt(K*eps*t_pivot)))
     blocks.
 
-    The hits of a window follow each other by one of three gaps (Sós
-    1958), read once per block by :func:`_steps` off the walk's descent on
-    pn/pb, shared with the caller's other scans, which gives gaps of 1 once
-    the window covers every residue.  The walk starts in the first block
-    at the last hit at or below lo, which :func:`_first_in_window` finds
-    by walking back from lo (q = 0 always hits, so there is one), and it
-    carries into each later block the last hit of the blocks before.  A
-    wider window can take in a q between that
-    hit and the block's start; such a q missed its own block's window, so
-    it fails the pivot's exact test.  The first item, which rejects most
-    candidates, gets its own block window fh first, in the pivot's form
-    and on its own convergent fn/fb from ``walk``, widened the same way:
-    its remainder shifted by fh, r = (fn*q + fh) mod fb, is below 2*fh + 1
-    exactly when fb * ||q*fn/fb|| <= fh (for every q once 2*fh + 1 >= fb),
-    so a hit is rejected by one compare against a per-block integer, and
-    only the others pay the exact test.  r is seeded once per block at the
-    carried q and then carried: each of the three gaps moves it by its own
-    residue step (the remainders of q1, q2 and q1 + q2, computed once per
-    block), and a sum past fb wraps with one subtraction.  So the walk
-    offers, in order, every q that a walk on x's own windows would offer
-    and a few more, and each inside the first item's window goes through
-    the exact test of every item.
+    The hits of a window follow each other by one of three gaps (Sós 1958),
+    read once per block by :func:`_steps` off the walk's descent on pn/pb,
+    shared with the caller's other scans, which gives gaps of 1 once the
+    window covers every residue.  The walk starts in the first block at the
+    last hit at or below lo, which :func:`_first_in_window` finds by walking
+    back from lo (q = 0 always hits, so there is one), and it carries into
+    each later block the last hit of the blocks before.  A wider window can
+    take in a q between that hit and the block's start; such a q missed its
+    own block's window, so it fails the pivot's exact test.  The first item,
+    which rejects most candidates, gets its own block window fh first, in
+    the pivot's form and on its own convergent fn/fb from ``walk``, rounded
+    up the same way: its remainder shifted by fh, r = (fn*q + fh) mod fb, is
+    below 2*fh + 1 exactly when fb * ||q*fn/fb|| <= fh (for every q once
+    2*fh + 1 >= fb), so a hit is rejected by one compare against a per-block
+    integer, and only the others pay the exact test.  r is seeded once per
+    block at the carried q and then carried: each of the three gaps moves it
+    by its own residue step (the remainders of q1, q2 and q1 + q2, computed
+    once per block), and a sum past fb wraps with one subtraction.  So the
+    walk offers, in order, every q that a walk on x's own windows would
+    offer and a few more, and each inside the first item's window goes
+    through the exact test of every item.
     """
     if lo > hi:
         return None
@@ -376,9 +380,7 @@ def _first_fit(
     q = None
     for first in range(lo + 1, hi + 1, size):
         last = min(first + size - 1, hi)
-        h = (pa * last + pc) // pden
-        if pb != pd:
-            h = pb * h // pd + 1
+        h = -(-pb * ((pa * last + pc) // pden) // pd)
         w = 2 * h + 1
         # Shifted residues s = (pn*q + h) mod pb put the window at 0..w-1.
         # q1 is the first q >= 1 whose residue moves forward by u < w, q2
@@ -391,9 +393,7 @@ def _first_fit(
         # The first item's residue, shifted the same way: r = (fn*q + fh)
         # mod fb puts its window at 0..fw-1.  r moves by f1, f2 or f3, that
         # of the step taken, each below fb, so one subtraction wraps it.
-        fh = (fa * last + fc) // fden
-        if fb != fd:
-            fh = fb * fh // fd + 1
+        fh = -(-fb * ((fa * last + fc) // fden) // fd)
         fw = 2 * fh + 1
         r = (fn * q + fh) % fb
         f1, f2 = fn * q1 % fb, fn * q2 % fb
@@ -418,33 +418,27 @@ def _first_fit(
 
 
 def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> list:
-    """Integer parts (i, xn, xd, tn, td) of the items in test order.
+    """Integer parts (xn, xd, tn, td) of the items in test order.
 
     The pivot, whose error window :func:`_first_fit` walks, is the first
     item with the smallest weight t_i, so a scan visits at most about
-    2*t_pivot*t_min of its range; it comes last, and the others follow
-    from the smallest weight up.  Item i is x_i = xn/xd with weight
-    t_i = tn/td.
+    2*t_pivot*t_min of its range.  Every candidate is in the pivot's
+    window, so it is tested last, and the others from the smallest weight
+    up, ties in input order: a miss shows sooner.  One stable sort by
+    weight puts the pivot first, and it moves to the end.  Item i is
+    x_i = xn/xd with weight t_i = tn/td.
     """
-    parts = [
-        (i, x.numerator, x.denominator, t.numerator, t.denominator)
-        for i, (x, t) in enumerate(items)
-    ]
-    # t_i * L for L the lcm of the weights' denominators: exact sort keys.
-    scale = math.lcm(*[td for *_, td in parts])
-    keys = [tn * (scale // td) for *_, tn, td in parts]
-    pivot = keys.index(min(keys))
-    # Every candidate is in the pivot's window, so test the pivot last and
-    # the other items from the tightest bound up: a miss shows sooner.
-    parts.sort(key=lambda part: (part[0] == pivot, keys[part[0]]))
-    return parts
+    ordered = sorted(items, key=itemgetter(1))
+    ordered.append(ordered.pop(0))
+    return [(x.numerator, x.denominator, t.numerator, t.denominator) for x, t in ordered]
 
 
-def _walk(first: tuple[int, int], pivot: tuple[int, int], top: int) -> tuple:
-    """The walk of :func:`_first_fit` for scans with hi <= top.
+def _walk(parts: Sequence[tuple[int, ...]], top: int) -> tuple:
+    """The walk of :func:`_first_fit` for the plan's scans with hi <= top.
 
-    ``first`` and ``pivot`` are (xn, xd) of the first item tested and of
-    the pivot.  The walk is (a, b, path, c, e): the pivot's convergent a/b
+    ``parts`` are the plan's items in test order, each starting with its
+    target's (xn, xd): the first is the first item tested, the last the
+    pivot.  The walk is (a, b, path, c, e): the pivot's convergent a/b
     and the first item's c/e, each the target itself if its denominator
     is at most top and else its first convergent with denominator >= top
     (farey._convergent), and the descent on a/b (farey._descent), which
@@ -452,6 +446,7 @@ def _walk(first: tuple[int, int], pivot: tuple[int, int], top: int) -> tuple:
     any of its scans can reach, so a sweep descends a/b once for all its
     points.
     """
+    first, pivot = parts[0][:2], parts[-1][:2]
     a, b = _convergent(*pivot, top)
     c, e = (a, b) if first == pivot else _convergent(*first, top)
     return a, b, _descent(a, b), c, e
@@ -491,22 +486,21 @@ def _smallest_witnesses(
     """
     parts = _plan(cs.items)
     *_, tn_min, td_min = parts[-1]
+    ends = [(tn_min * g.denominator) // (td_min * g.numerator) for g in grid]
     # The last point's range end is the largest.
-    top = (tn_min * grid[-1].denominator) // (td_min * grid[-1].numerator)
-    walk = _walk(parts[0][1:3], parts[-1][1:3], min(top, max_scan))
+    walk = _walk(parts, min(ends[-1], max_scan))
     xs = cs.xs
     points: list[tuple[int, Solution | None]] = []
     start = 1
-    for epsilon in grid:
+    for epsilon, q_max in zip(grid, ends):
         en, ed = epsilon.numerator, epsilon.denominator
-        q_max = (tn_min * ed) // (td_min * en)
         limit = min(q_max, max_scan)
         # Integer form: |x - p/q| <= eps*t with x = xn/xd, eps = en/ed and
         # t = tn/td becomes d * ed*td <= en*tn*xd * q with
         # d = xd * ||q*xn/xd||.  The bound en*tn/(ed*td) is left unreduced:
         # the test and the window floor((a*b + c)/den) depend only on its
         # value, so they match those of the reduced eps*t and need no gcd.
-        items = [(xn, xd, en * tn * xd, 0, ed * td) for _, xn, xd, tn, td in parts]
+        items = [(xn, xd, en * tn * xd, 0, ed * td) for xn, xd, tn, td in parts]
         q = _first_fit(items, start, limit, walk)
         if q is not None:
             points.append((q_max, _solution(xs, q, epsilon, "brute")))
@@ -631,9 +625,8 @@ def dirichlet_solve(
             f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"
         )
     parts = _plan([(x, 1) for x in xs])
-    walk = _walk(parts[0][1:3], parts[-1][1:3], q_max)
     # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||.
-    q = _first_fit([(xn, xd, 0, xd, T) for _, xn, xd, _, _ in parts], 1, q_max, walk)
+    q = _first_fit([(xn, xd, 0, xd, T) for xn, xd, _, _ in parts], 1, q_max, _walk(parts, q_max))
     if q is not None:
         return _solution(xs, q, Fraction(1, T), "dirichlet")
     raise InternalError(

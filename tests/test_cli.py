@@ -633,6 +633,23 @@ def test_oversized_literal_and_precision_fail_fast(tmp_path):
         assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "5001"])
+def test_precision_out_of_range_names_the_option(tmp_path, capsys, value):
+    # The option is checked once, before any input is read: the message
+    # names it, not line 1 of the file, and a missing file is not reached.
+    path = write(tmp_path, "in.txt", "sqrt2 1\n")
+    missing = str(tmp_path / "missing.txt")
+    expected = (1, "", "error: --precision must be an integer in 1..5000\n")
+    for argv in (
+        ["solve", "--input", path, "--epsilon", "1/100"],
+        ["solve", "--input", missing, "--epsilon", "1/100"],
+        ["sweep", "--input", path, "--grid", "1/2,1/4"],
+        ["neighbors", "--x", "1/2", "--order", "3"],
+        SUBDIVIDE,
+    ):
+        assert invoke(capsys, [*argv, "--precision", value]) == expected
+
+
 def test_scan_budget_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "sqrt2.txt", "sqrt2 1\n")
     monkeypatch.setenv("FAREY_APPROX_MAX_SCAN", "5")

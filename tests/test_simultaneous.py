@@ -157,6 +157,14 @@ def test_library_rejects_zero_denominator():
         best_numerator(F(1, 2), 0)
 
 
+@pytest.mark.parametrize("bad", [1.0, "1", F(1, 2)])
+def test_check_solution_rejects_non_integer_numerators(bad):
+    # A numerator is an integer as q is: a float or a string would raise a
+    # bare TypeError in the exact errors, and a Fraction would get a verdict.
+    with pytest.raises(InvalidInputError, match="^numerators must be integers$"):
+        check_solution(cs((F(1, 3), F(1)), (F(1, 2), F(1))), F(1, 4), 2, [1, bad])
+
+
 def test_best_numerator_examples():
     assert best_numerator(F(1, 3), 2) == 1
     assert best_numerator(F(1, 2), 3) == 1  # tie between 1 and 2 -> smaller
@@ -383,7 +391,7 @@ def walk_for(items, top):
     # The walk of _plan's scans for q up to top: the first item's and the
     # pivot's convergents (each target itself when its denominator is at
     # most top) and the descent on the pivot's.
-    return simultaneous._walk(items[0][:2], items[-1][:2], top)
+    return simultaneous._walk(items, top)
 
 
 def listed_fits(items, lo, hi, walk):
@@ -662,10 +670,15 @@ def widened_walks(draw):
 # 1/8, and on x's convergent 3/8 for top = 4 its distance is 1, past the
 # unwidened window 8*h // xd = 0 of h = xd // 8.
 @example(([(1028965, 2829647, 0, 2829647, 8)], 4, [(1, 3)]))
+# ||q*x|| <= 1/4 for x = 97/348 is h = 87, and b*h/xd = 4*87/348 = 1 on the
+# convergent 1/4 for top = 4: the ceiling leaves the window at 1, and the
+# fit q = 3, at distance 57 from x's and 1 from 1/4's multiples, lies on
+# its edge.
+@example(([(97, 348, 0, 87, 1)], 4, [(1, 4)]))
 def test_widened_walk_equals_linear_scan_below_its_top(case):
-    # The walk runs on convergents whose windows are one unit wider, which
-    # holds for every q <= top: a scan with any hi <= top finds what a
-    # linear scan of the exact test finds.
+    # The walk runs on convergents whose windows are rounded up to the next
+    # step of 1/b, which holds every fit for q <= top: a scan with any
+    # hi <= top finds what a linear scan of the exact test finds.
     items, top, scans = case
     walk = walk_for(items, top)
     for lo, hi in scans:
@@ -726,17 +739,16 @@ def walked_hits(items, lo, hi):
     # looking at every q: lo, then block by block each q past the last hit
     # so far (q = 0 hits every window) that hits the block's pivot window
     # and the first item's window, each taken at the block's end on the
-    # item's convergent of the walk, d/e, and widened to e*h // xd + 1
-    # when d/e is not the item's target, up to the first q that fits
-    # every item.
+    # item's convergent of the walk, d/e, and rounded up to ceil(e*h/xd),
+    # which is h when d/e is the item's target, up to the first q that
+    # fits every item.
     pn, pd, _, fn, fd = walk_for(items, hi)
 
     def dist(n, d, q):
         return min(n * q % d, -n * q % d)
 
     def half(item, e, b):
-        h = (item[2] * b + item[3]) // item[4]
-        return h if e == item[1] else e * h // item[1] + 1
+        return -(-e * ((item[2] * b + item[3]) // item[4]) // item[1])
 
     def fits(q):
         return all(dist(*item[:2], q) * item[4] <= item[2] * q + item[3] for item in items)
@@ -851,7 +863,8 @@ def test_window_walk_starts_at_lo():
         "from fareyapprox.simultaneous import _first_fit, _walk\n"
         "x = parse_real('sqrt2', 5000) - 1\n"
         "xn, xd = x.numerator, x.denominator\n"
-        f"items, walk, fits = [(xn, xd, 0, xd, 1000)], _walk((xn, xd), (xn, xd), {hi}), []\n"
+        "items, fits = [(xn, xd, 0, xd, 1000)], []\n"
+        f"walk = _walk(items, {hi})\n"
         f"q = _first_fit(items, {lo}, {hi}, walk)\n"
         "while q is not None:\n"
         "    fits.append(q)\n"
@@ -1020,13 +1033,13 @@ def test_dirichlet_scan_reads_its_steps_once():
     # The Dirichlet bound fixes the window (a = 0), so the walk is one
     # block and reads its steps once for all its hits, off the descent on
     # the first target's convergent for q up to T**n - 1 = 10**6 - 1, with
-    # the window h = xd // 10 widened to b*h // xd + 1 on its residues.
+    # the window h = xd // 10 rounded up to ceil(b*h/xd) on its residues.
     xs = six_constants().xs
     with recorded_windows() as windows:
         assert dirichlet_solve(xs, 10).q == 2105
     xd = xs[0].denominator
     _, b = farey._convergent(xs[0].numerator, xd, 10**6 - 1)
-    assert windows == [2 * (b * (xd // 10) // xd + 1) + 1]
+    assert windows == [2 * -(-b * (xd // 10) // xd) + 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1046,6 +1059,35 @@ def test_oracle_blocks_stay_within_the_bound(numerators, m):
         brute_force_solve(cs(*[(F(2 * k + 1, 10**20), t) for k in numerators]), F(1, m))
     blocks = len(windows)
     assert blocks == 0 or 4 * simultaneous._BLOCK_EXCESS * F(1, m) * t * (blocks - 1) ** 2 < 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(F, st.integers(-50, 50), st.integers(1, 20)),
+            st.one_of(
+                st.integers(1, 3),
+                st.sampled_from([F(1, 2), F(1), F(2), F(2, 4)]),
+                st.builds(F, st.integers(1, 6), st.integers(1, 6)),
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_plan_tests_the_pivot_last_and_the_others_by_weight(items):
+    # Reference order from Fraction weights: the pivot, the first item with
+    # the smallest weight, comes last; the others are sorted by weight,
+    # ties in input order.  Int weights and repeated weights are drawn.
+    weights = [F(t) for _, t in items]
+    pivot = weights.index(min(weights))
+    others = sorted((i for i in range(len(items)) if i != pivot), key=lambda i: (weights[i], i))
+    expected = [
+        (items[i][0].numerator, items[i][0].denominator, weights[i].numerator, weights[i].denominator)
+        for i in [*others, pivot]
+    ]
+    assert simultaneous._plan(items) == expected
 
 
 def test_every_scan_descends_its_pivot_once(monkeypatch):
