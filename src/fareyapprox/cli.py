@@ -159,6 +159,12 @@ def _parse_positive(text: str, name: str) -> Fraction:
 
 def _build_grid(args) -> tuple[Fraction, ...]:
     if args.grid is not None:
+        # The options of a generated grid would be dropped: refuse them.
+        given = {"--eps-max": args.eps_max is not None, "--eps-min": args.eps_min is not None,
+                 "--points": args.points is not None, "--geometric": args.geometric}
+        mixed = [flag for flag, on in given.items() if on]
+        if mixed:
+            raise InvalidInputError(f"--grid cannot be combined with {', '.join(mixed)}")
         points = tuple(_parse_positive(part, "epsilon") for part in args.grid.split(","))
     else:
         if args.eps_max is None or args.eps_min is None or args.points is None:

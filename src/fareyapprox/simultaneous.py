@@ -58,10 +58,15 @@ returned only.  The first item tested, which rejects most q, compares
 the remainder of its own convergent c/e for top with its window on the
 block, rounded up the same way, before the exact test, and the walk
 carries that remainder from hit to hit, adding the remainder of the gap
-taken, so most q cost an addition and one compare on integers below e.
-A walk starts at the last hit at or below its lower end, which a
-Euclid-style descent finds in O(log b) steps, so its cost does not grow
-with the q below its range.
+taken.  Every threshold of a hit is computed once per block, so a hit
+costs one branch of the three-gap rule, which updates the q and both
+remainders in place and wraps the first item's with one compare, then
+one compare with the block's end and one with the window, on integers
+below e and b.  The step that passes a block's end is read back off the
+pivot's remainder, which it leaves in one of three disjoint ranges, and
+taken back.  A walk starts at the last hit at or below its lower end,
+which a Euclid-style descent finds in O(log b) steps, so its cost does
+not grow with the q below its range.
 """
 
 from __future__ import annotations
@@ -363,9 +368,18 @@ def _first_fit(
     2*fh + 1 >= fb), so a hit is rejected by one compare against a per-block
     integer, and only the others pay the exact test.  r is seeded once per
     block at the carried q and then carried: each of the three gaps moves it
-    by its own residue step (the remainders of q1, q2 and q1 + q2, computed
-    once per block), and a sum past fb wraps with one subtraction.  So the
-    walk offers, in order, every q that a walk on x's own windows would
+    by its own residue step f_k (the remainders of q1, q2 and q1 + q2), and
+    r + f_k wraps exactly when r >= fb - f_k.  Those thresholds, and the
+    three-gap rule's w - u, u - v and q1 + q2, are computed once per block,
+    so a hit costs one branch, which updates s, q and r in place and wraps r
+    with one compare, then the test q > last and the window compare.  The
+    step that passes a block's end is not tested for in advance; it is read
+    back off where it left s and taken back, so the next block starts at the
+    last hit at or below the end.  As u + v >= w, the three ranges s can be
+    left in are disjoint: [u, w) after q1, [w - v, u) after q1 + q2 and
+    [0, w - v) after q2 (a window that covers every residue can have
+    u + v < w, but then q1 = q2 = 1 and the walk takes no q1 + q2 step).  So
+    the walk offers, in order, every q that a walk on x's own windows would
     offer and a few more, and each inside the first item's window goes
     through the exact test of every item.
     """
@@ -392,28 +406,37 @@ def _first_fit(
         s = (pn * q + h) % pb
         # The first item's residue, shifted the same way: r = (fn*q + fh)
         # mod fb puts its window at 0..fw-1.  r moves by f1, f2 or f3, that
-        # of the step taken, each below fb, so one subtraction wraps it.
+        # of the step taken, each below fb: r + f_k wraps when r >= fb - f_k.
         fh = -(-fb * ((fa * last + fc) // fden) // fd)
         fw = 2 * fh + 1
         r = (fn * q + fh) % fb
         f1, f2 = fn * q1 % fb, fn * q2 % fb
         f3 = (f1 + f2) % fb
+        wu, uv, q3 = w - u, u - v, q1 + q2
+        g1, g2, g3 = fb - f1, fb - f2, fb - f3
         while True:
             # Three-gap rule: u + v >= w, so at most one of s + u and s - v
             # stays in the window; when neither does, s + u - v does.
-            if s + u < w:
-                step, s, r = q1, s + u, r + f1
+            if s < wu:
+                s += u
+                q += q1
+                r = r - g1 if r >= g1 else r + f1
             elif s >= v:
-                step, s, r = q2, s - v, r + f2
+                s -= v
+                q += q2
+                r = r - g2 if r >= g2 else r + f2
             else:
-                step, s, r = q1 + q2, s + u - v, r + f3
-            if q + step > last:
+                s += uv
+                q += q3
+                r = r - g3 if r >= g3 else r + f3
+            if q > last:
                 break
-            q += step
-            if r >= fb:
-                r -= fb
             if r < fw and _fits(items, q):
                 return q
+        # The step past last left s in [u, w) after q1, in [w - v, u) after
+        # q1 + q2 and in [0, w - v) after q2: take it back, so the next
+        # block starts at the last hit at or below last.
+        q -= q1 if s >= u else q3 if s >= w - v else q2
     return None
 
 

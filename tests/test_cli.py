@@ -563,6 +563,24 @@ def test_sweep_grid_validation(tmp_path, capsys):
     ) == (1, "", "error: need --points >= 2 and --eps-min < --eps-max\n")
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--eps-max", "1", "--eps-min", "1/2", "--points", "2"], "--eps-max, --eps-min, --points"),
+        (["--points", "0"], "--points"),
+        (["--eps-min", "1/2"], "--eps-min"),
+        (["--geometric"], "--geometric"),
+    ],
+)
+def test_sweep_rejects_grid_with_generated_grid_options(tmp_path, capsys, extra, named):
+    # --grid is a whole grid: an option of the generated grid next to it
+    # would be dropped, so the call fails and names what was given.
+    path = write(tmp_path, "third.txt", "1/3 1\n")
+    assert invoke(capsys, ["sweep", "--input", path, "--grid", "1/3", *extra]) == (
+        1, "", f"error: --grid cannot be combined with {named}\n"
+    )
+
+
 def test_compare_non_uniform_weights(tmp_path, capsys):
     path = write(tmp_path, "mixed.txt", "1/3 1\n2/3 2\n")
     code, _, err = invoke(capsys, ["compare", "--input", path, "--epsilon", "1/10", "--T", "4"])

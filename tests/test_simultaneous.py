@@ -818,6 +818,18 @@ def walked_hits(items, lo, hi):
     1000,
     8000,
 ))
+# The first block, 9..40 for the pivot 4/9, ends at the hit 40, whose
+# shifted residue is s = 0 (w = 5, steps q1 = 1, u = 4, q2 = 2, v = 1):
+# the q1 step past 40 leaves s = u, the lower edge of [u, w), and takes
+# back q1.  Taking back q1 + q2 would carry 38 and offer 39 = 3*13, inside
+# the second block's windows but not the first's, to the exact test.
+@example(([(11, 13, 13, -1, 10773), (4, 9, 9, 0, 122)], 8, 42))
+# The third block, 226..298 for the pivot -62/25, ends at the hit 298,
+# with s = w - u = 10 (w = 23, q1 = q2 = 1, u = 13, v = 12): the q1 + q2
+# step past 298 leaves s = w - v, the lower edge of [w - v, u), and takes
+# back q1 + q2.  Taking back q2 would carry 299 = 13*23, outside the third
+# block's window, and the fourth block would never offer it.
+@example(([(57, 23, 23, 0, 28114), (-62, 25, 75, -1, 1982)], 79, 436))
 def test_first_fit_carries_the_first_residue_across_blocks(scan):
     # The answer is that of a linear scan of the exact integer test, and
     # the q that reach the exact test are exactly those inside both block
@@ -1032,14 +1044,20 @@ def test_dirichlet_walk_yields_a_pinned_count(visited):
 def test_dirichlet_scan_reads_its_steps_once():
     # The Dirichlet bound fixes the window (a = 0), so the walk is one
     # block and reads its steps once for all its hits, off the descent on
-    # the first target's convergent for q up to T**n - 1 = 10**6 - 1, with
-    # the window h = xd // 10 rounded up to ceil(b*h/xd) on its residues.
-    xs = six_constants().xs
-    with recorded_windows() as windows:
-        assert dirichlet_solve(xs, 10).q == 2105
-    xd = xs[0].denominator
-    _, b = farey._convergent(xs[0].numerator, xd, 10**6 - 1)
-    assert windows == [2 * -(-b * (xd // 10) // xd) + 1]
+    # the first target's convergent for q up to T**n - 1, with the window
+    # h = xd // T rounded up to ceil(b*h/xd) on its residues.  The second
+    # answer lies at 93% of 1..941**2 - 1, so a walk that cut the range
+    # into blocks would reach a second one and read its steps again.
+    cases = [
+        (six_constants().xs, 10, 2105),
+        ((parse_real("phi", 64), parse_real("pi", 64)), 941, 826872),
+    ]
+    for xs, T, q in cases:
+        with recorded_windows() as windows:
+            assert dirichlet_solve(xs, T).q == q
+        xd = xs[0].denominator
+        _, b = farey._convergent(xs[0].numerator, xd, T ** len(xs) - 1)
+        assert windows == [2 * -(-b * (xd // T) // xd) + 1]
 
 
 @settings(max_examples=60, deadline=None)
