@@ -54,19 +54,22 @@ exact integer test of every item, so the answers are those of a full
 scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
 remainder per item until an item rejects it, and :func:`_solution`, the
 one builder of a scan's answer, computes the numerators for the q
-returned only.  The first item tested, which rejects most q, compares
-the remainder of its own convergent c/e for top with its window on the
-block, rounded up the same way, before the exact test, and the walk
-carries that remainder from hit to hit, adding the remainder of the gap
-taken.  Every threshold of a hit is computed once per block, so a hit
-costs one branch of the three-gap rule, which updates the q and both
-remainders in place and wraps the first item's with one compare, then
-one compare with the block's end and one with the window, on integers
-below e and b.  The step that passes a block's end is read back off the
-pivot's remainder, which it leaves in one of three disjoint ranges, and
-taken back.  A walk starts at the last hit at or below its lower end,
-which a Euclid-style descent finds in O(log b) steps, so its cost does
-not grow with the q below its range.
+returned only.  The first item in test order, which rejects most q,
+compares the remainder of its own convergent c/e for top with its window
+on the block, rounded up the same way, before the exact test, and the
+walk carries that remainder from hit to hit, adding the remainder of the
+gap taken.  A hit inside that window nearly always fits the first item,
+so its exact test takes the first item last, after the items that
+reject it; only the lower end of a walk, which no window has filtered,
+is tested in plan order.  Every threshold of a hit is computed once per
+block, so a hit costs one branch of the three-gap rule, which updates
+the q and both remainders in place and wraps the first item's with one
+compare, then one compare with the block's end and one with the window,
+on integers below e and b.  The step that passes a block's end is read
+back off the pivot's remainder, which it leaves in one of three disjoint
+ranges, and taken back.  A walk starts at the last hit at or below its
+lower end, which a Euclid-style descent finds in O(log b) steps, so its
+cost does not grow with the q below its range.
 """
 
 from __future__ import annotations
@@ -205,7 +208,8 @@ def _nearest(xn: int, xd: int, q: int) -> int:
 
 
 def _positive_epsilon(epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
+    # A Fraction is immutable, so an exact one is passed through, not copied.
+    epsilon = epsilon if type(epsilon) is Fraction else Fraction(epsilon)
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     return epsilon
@@ -366,7 +370,11 @@ def _first_fit(
     up the same way: its remainder shifted by fh, r = (fn*q + fh) mod fb, is
     below 2*fh + 1 exactly when fb * ||q*fn/fb|| <= fh (for every q once
     2*fh + 1 >= fb), so a hit is rejected by one compare against a per-block
-    integer, and only the others pay the exact test.  r is seeded once per
+    integer, and only the others pay the exact test.  A hit that passes it
+    nearly always fits the first item, so its exact test takes the items in
+    the order ``[*items[1:], items[0]]``: an item that rejects it is reached
+    one remainder sooner.  lo, which no window filtered and which the first
+    item rejects most often, is tested in plan order.  r is seeded once per
     block at the carried q and then carried: each of the three gaps moves it
     by its own residue step f_k (the remainders of q1, q2 and q1 + q2), and
     r + f_k wraps exactly when r >= fb - f_k.  Those thresholds, and the
@@ -381,7 +389,7 @@ def _first_fit(
     u + v < w, but then q1 = q2 = 1 and the walk takes no q1 + q2 step).  So
     the walk offers, in order, every q that a walk on x's own windows would
     offer and a few more, and each inside the first item's window goes
-    through the exact test of every item.
+    through the exact test of every item, the first item last.
     """
     if lo > hi:
         return None
@@ -389,6 +397,7 @@ def _first_fit(
         return lo
     _, pd, pa, pc, pden = items[-1]
     _, fd, fa, fc, fden = items[0]
+    exact = [*items[1:], items[0]]
     pn, pb, path, fn, fb = walk
     size = math.isqrt(_BLOCK_EXCESS * pden * pd // pa) + 1 if pa else hi - lo + 1
     q = None
@@ -431,7 +440,7 @@ def _first_fit(
                 r = r - g3 if r >= g3 else r + f3
             if q > last:
                 break
-            if r < fw and _fits(items, q):
+            if r < fw and _fits(exact, q):
                 return q
         # The step past last left s in [u, w) after q1, in [w - v, u) after
         # q1 + q2 and in [0, w - v) after q2: take it back, so the next
@@ -446,10 +455,13 @@ def _plan(items: Iterable[tuple[Fraction, Fraction]]) -> list:
     The pivot, whose error window :func:`_first_fit` walks, is the first
     item with the smallest weight t_i, so a scan visits at most about
     2*t_pivot*t_min of its range.  Every candidate is in the pivot's
-    window, so it is tested last, and the others from the smallest weight
-    up, ties in input order: a miss shows sooner.  One stable sort by
-    weight puts the pivot first, and it moves to the end.  Item i is
-    x_i = xn/xd with weight t_i = tn/td.
+    window, so it comes last, and the others from the smallest weight up,
+    ties in input order: a miss shows sooner.  :func:`_first_fit` tests
+    the lower end of its range in this order; a candidate of its walk is
+    in the first item's window too, so its test takes the first item
+    after the pivot, last.  One stable sort by weight puts the pivot
+    first, and it moves to the end.  Item i is x_i = xn/xd with weight
+    t_i = tn/td.
     """
     ordered = sorted(items, key=itemgetter(1))
     ordered.append(ordered.pop(0))
@@ -676,7 +688,7 @@ def epsilon_threshold(
     any.  BudgetExceededError is raised for the first point whose range
     exceeds ``max_scan`` and that has no witness within it.
     """
-    grid = tuple(Fraction(g) for g in grid)
+    grid = tuple(g if type(g) is Fraction else Fraction(g) for g in grid)
     if not grid:
         raise InvalidInputError("grid must be nonempty")
     pairs = [(g.numerator, g.denominator) for g in grid]

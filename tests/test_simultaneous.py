@@ -959,15 +959,41 @@ def test_oracle_walk_yields_a_pinned_count(visited):
     assert len(visited) == 14
 
 
-def test_wide_first_window_walk_yields_a_pinned_count(visited):
-    # The benchmark's heaviest request shape (sm-0183 in perfbench's pool):
-    # n = 6 with t_min = 1/2, so in the last block walked the pivot's
-    # window and the first item's each cover about a sixth of the
-    # residues, eight times the share of the first item's window on the
-    # instance above.  The walk crosses 34 blocks of
-    # isqrt(8 * 663910 * 2) + 1 = 3,260 and carries the first item's
-    # residue through each; lo and 1,037 of its 9,286 hits reach the
-    # exact test before q = 109,400 fits.
+@pytest.mark.parametrize(
+    "c, epsilon",
+    [
+        (cs((SQRT2_50, F(1))), F(1, 1000)),
+        (cs((SQRT2_50, F(1)), (PHI_50, F(1))), F(1, 1000)),
+        (six_constants(), F(1, 10**6)),
+    ],
+    ids=["n=1", "n=2", "n=6"],
+)
+def test_walk_candidates_test_the_first_item_last(c, epsilon, monkeypatch):
+    # lo is tested in plan order, as the first item rejects most q there;
+    # a candidate of the walk is inside the first item's window already,
+    # so its exact test takes the first item last.
+    scans, calls = [], []
+    first_fit, fits = simultaneous._first_fit, simultaneous._fits
+
+    def recording_first_fit(items, lo, hi, walk):
+        scans.append((list(items), lo))
+        return first_fit(items, lo, hi, walk)
+
+    def recording_fits(items, q):
+        calls.append((list(items), q))
+        return fits(items, q)
+
+    monkeypatch.setattr(simultaneous, "_first_fit", recording_first_fit)
+    monkeypatch.setattr(simultaneous, "_fits", recording_fits)
+    brute_force_solve(c, epsilon)
+    [(plan, lo)] = scans
+    assert len(plan) == c.n and calls[0] == (plan, lo) and len(calls) > 2
+    assert all(items == [*plan[1:], plan[0]] and q > lo for items, q in calls[1:])
+
+
+def wide_first_window(precision):
+    # The benchmark's heaviest request shape (sm-0183 in perfbench's pool),
+    # with its two constants read to the given number of digits.
     xs = [
         "5299851110199324195/8640886836227398636",
         "7734127199133044991/6133749506545074136",
@@ -977,9 +1003,31 @@ def test_wide_first_window_walk_yields_a_pinned_count(visited):
         "e",
     ]
     ts = ["1", "1/2", "1/2", "1", "1/2", "1/2"]
-    c = cs(*[(parse_real(x, 64), F(t)) for x, t in zip(xs, ts)])
-    sol = brute_force_solve(c, F(1, 663910))
+    return cs(*[(parse_real(x, precision), F(t)) for x, t in zip(xs, ts)])
+
+
+def test_wide_first_window_walk_yields_a_pinned_count(visited):
+    # n = 6 with t_min = 1/2, so in the last block walked the pivot's
+    # window and the first item's each cover about a sixth of the
+    # residues, eight times the share of the first item's window on the
+    # instance above.  The walk crosses 34 blocks of
+    # isqrt(8 * 663910 * 2) + 1 = 3,260 and carries the first item's
+    # residue through each; lo and 1,037 of its 9,286 hits reach the
+    # exact test before q = 109,400 fits.
+    sol = brute_force_solve(wide_first_window(64), F(1, 663910))
     assert (sol.q, len(visited)) == (109400, 1038)
+
+
+def test_wide_first_window_walk_does_not_depend_on_precision(visited):
+    # The walk runs on convergents for q up to the range end, so reading
+    # sqrt2 and e to 2000 digits in place of 64 leaves the answer and
+    # every q the exact test sees as they are.
+    runs = []
+    for precision in (64, 2000):
+        sol = brute_force_solve(wide_first_window(precision), F(1, 663910))
+        runs.append(((sol.q, sol.ps), visited[:]))
+        visited.clear()
+    assert runs[0] == runs[1] and len(runs[0][1]) == 1038
 
 
 @contextlib.contextmanager

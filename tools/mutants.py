@@ -58,6 +58,8 @@ MUTANTS = [
     ("wrap-g3-strict", SIM,
      "r = r - g3 if r >= g3 else r + f3", "r = r - g3 if r > g3 else r + f3", "killed"),
     ("q1-branch-inclusive", SIM, "if s < wu:", "if s <= wu:", "killed"),
+    # A hit's exact test takes the first item, whose window it is in, last.
+    ("hit-test-plan-order", SIM, "_fits(exact, q)", "_fits(items, q)", "killed"),
     # The windows: the first item's shifted rule and the ceiling that
     # widens both onto their convergents' residues.
     ("first-window-narrow", SIM, "fw = 2 * fh + 1", "fw = 2 * fh", "killed"),
