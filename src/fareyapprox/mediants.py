@@ -46,11 +46,13 @@ def _require_count(count: int) -> None:
         raise InvalidInputError("chain length must be a nonnegative integer")
 
 
-def _rungs(h: int, k: int, dh: int, dk: int, count: int) -> list[tuple[int, int]]:
-    # The pairs (h + i*dh, k + i*dk) for i = 0..count; dk >= 1, so the
-    # range of k's ends the zip, and itertools.count repeats h when dh = 0
-    # (a chain off 0/1).
-    return list(zip(itertools.count(h, dh), range(k, k + (count + 1) * dk, dk)))
+def _rungs(start: Fraction, step: Fraction, count: int) -> list[tuple[int, int]]:
+    # The rungs off the reduced start = h/k toward step = dh/dk, as pairs
+    # (h + i*dh, k + i*dk) for i = 0..count; dk >= 1, so the range of k's
+    # ends the zip, and itertools.count repeats h when dh = 0 (a chain off
+    # 0/1).
+    k, dk = start.denominator, step.denominator
+    return list(zip(itertools.count(start.numerator, step.numerator), range(k, k + (count + 1) * dk, dk)))
 
 
 def descending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
@@ -59,9 +61,7 @@ def descending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
     They start at base.right and strictly decrease toward base.left.
     """
     _require_count(count)
-    h1, k1 = base.left.numerator, base.left.denominator
-    h2, k2 = base.right.numerator, base.right.denominator
-    return tuple(Fraction(h, k) for h, k in _rungs(h2, k2, h1, k1, count))
+    return tuple(Fraction(h, k) for h, k in _rungs(base.right, base.left, count))
 
 
 def ascending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
@@ -70,9 +70,7 @@ def ascending_chain(base: FareyPair, count: int) -> tuple[Fraction, ...]:
     They start at base.left and strictly increase toward base.right.
     """
     _require_count(count)
-    h1, k1 = base.left.numerator, base.left.denominator
-    h2, k2 = base.right.numerator, base.right.denominator
-    return tuple(Fraction(h, k) for h, k in _rungs(h1, k1, h2, k2, count))
+    return tuple(Fraction(h, k) for h, k in _rungs(base.left, base.right, count))
 
 
 def descending_step_gap(base: FareyPair, i: int) -> Fraction:
@@ -109,7 +107,10 @@ def _plan_subdivision(
     """The points :func:`subdivide` returns, as (numerator, denominator) pairs.
 
     Makes every check of :func:`subdivide`, in the same order and with the
-    same messages; ``gap_bound`` must already be a Fraction.
+    same messages; ``gap_bound`` must already be a Fraction.  The points
+    are the endpoints with one chain of rungs (:func:`_rungs`) between
+    them, of the smallest length p >= 0 that meets the bound; a pair whose
+    own gap already meets it is the chain of length 0.
     """
     if gap_bound <= 0:
         raise InvalidInputError("gap bound must be positive")
@@ -124,17 +125,15 @@ def _plan_subdivision(
             f"endpoint denominators {_int_text(k1)}, {_int_text(k2)} already exceed the bound "
             f"{_int_text(denom_bound)}"
         )
-    # The pair is unimodular, so its gap is 1/(k1*k2).
-    gn, gd = gap_bound.numerator, gap_bound.denominator
-    if gd <= gn * k1 * k2:
-        return [(h1, k1), (h2, k2)]
-
     descending = k2 >= k1
     anchor, step = (k2, k1) if descending else (k1, k2)
     # Smallest chain length p with tail gap 1/(step*(anchor + p*step))
-    # <= gap_bound; p >= 1 here since the whole gap 1/(k1*k2) is too wide.
+    # <= gap_bound.  The pair is unimodular, so p = 0, the two endpoints,
+    # exactly when its own gap 1/(k1*k2) meets the bound; then no check
+    # below can fire.
+    gn, gd = gap_bound.numerator, gap_bound.denominator
     needed_den = -(-gd // (gn * step))
-    p = max(1, -((anchor - needed_den) // step))
+    p = max(0, -((anchor - needed_den) // step))
     widest_den = anchor * (anchor + step)
     if gd > gn * widest_den:
         raise InfeasibleError(
@@ -151,8 +150,8 @@ def _plan_subdivision(
             f"subdivision needs {_int_text(p + 2)} points, max_points={_int_text(max_points)}"
         )
     if descending:
-        return [(h1, k1)] + _rungs(h2, k2, h1, k1, p)[::-1]
-    return _rungs(h1, k1, h2, k2, p) + [(h2, k2)]
+        return [(h1, k1)] + _rungs(base.right, base.left, p)[::-1]
+    return _rungs(base.left, base.right, p) + [(h2, k2)]
 
 
 def subdivide(

@@ -26,50 +26,15 @@ pivot item, and the q whose ||q*x|| lies in a window are the return times
 of the rotation q -> q*x mod 1 to an interval, which by the three-gap
 theorem (Sós 1958; Slater 1967) follow each other by one of three gaps.
 :func:`_first_fit`, the one scan of the oracle, the sweep and the
-baseline, steps from one such q to the next in a few integer operations,
-with a window per block of q that contains every q the exact test can
-accept.  The blocks have one length, set by how fast the window widens
-so that a block's window takes in about eight more q than the windows
-of its q's own would (one block for the baseline's fixed window).
-
-The walk does not run on the pivot x = xn/xd itself, whose xd can have
-hundreds of bits, but on its convergent a/b for the largest q its scans
-can reach, top: the first with b >= top, or x itself if xd <= top
-(farey._convergent).  Such a convergent has |b*x - a| < 1/top (Khinchin
-1964), so for q <= top the distances b*||q*a/b|| and b*||q*x|| differ by
-less than one unit, and a window of half-width h on x's scale,
-xd*||q*x|| <= h, lies inside the window ceil(b*h/xd) on a/b's, h rounded
-up to the next step of 1/b: every q the exact test can accept is still
-walked, with about 2*top/b <= 2 more per scan, and the residues walked
-are below b, which is near top unless x lies very close to a fraction of
-smaller denominator.  So a scan needs hi <= top.  The gaps of a block
-are the steps farey._steps reads off the Stern-Brocot descent on a/b,
-the kernel off which compose_solve's Farey brackets are read too.
-:func:`_walk` builds a plan's walk once, for the largest range of its
-scans, and farey._steps extends the descent only as deep as the
-narrowest window needs, so a sweep descends a/b once for all its
-points.  :func:`_plan` sets up every scan: the items' integer parts in
-test order.  Each q the walk reaches goes through :func:`_fits`, the one
-exact integer test of every item, so the answers are those of a full
-scan.  The test reads only the distance xd * ||q*x_i||, so a q costs one
-remainder per item until an item rejects it, and :func:`_solution`, the
-one builder of a scan's answer, computes the numerators for the q
-returned only.  The first item in test order, which rejects most q,
-compares the remainder of its own convergent c/e for top with its window
-on the block, rounded up the same way, before the exact test, and the
-walk carries that remainder from hit to hit, adding the remainder of the
-gap taken.  A hit inside that window nearly always fits the first item,
-so its exact test takes the first item last, after the items that
-reject it; only the lower end of a walk, which no window has filtered,
-is tested in plan order.  Every threshold of a hit is computed once per
-block, so a hit costs one branch of the three-gap rule, which updates
-the q and both remainders in place and wraps the first item's with one
-compare, then one compare with the block's end and one with the window,
-on integers below e and b.  The step that passes a block's end is read
-back off the pivot's remainder, which it leaves in one of three disjoint
-ranges, and taken back.  A walk starts at the last hit at or below its
-lower end, which a Euclid-style descent finds in O(log b) steps, so its
-cost does not grow with the q below its range.
+baseline, steps from one such q to the next, block by block, on
+word-size convergents of the pivot and of the first item tested; its
+docstring states the walk's invariants and argues each of them.
+:func:`_plan` puts the items of an oracle or sweep scan in test order
+(the baseline's need no sort), :func:`_walk` builds the convergents and
+the Stern-Brocot descent the steps are read off once per plan,
+:func:`_fits` is the one exact integer test of every item, so the answers
+are those of a full scan, and :func:`_solution` is the one builder of a
+scan's answer.
 """
 
 from __future__ import annotations
@@ -197,14 +162,13 @@ def best_numerator(x: Fraction, q: int) -> int:
     """The integer p minimizing |x - p/q|; exact ties go to the smaller p."""
     if not isinstance(q, int) or q < 1:
         raise InvalidInputError("denominator must be a positive integer")
-    x = Fraction(x)
-    return _nearest(x.numerator, x.denominator, q)
+    return _nearest(Fraction(x), q)
 
 
-def _nearest(xn: int, xd: int, q: int) -> int:
-    # The numerator p nearest q*xn/xd, exact ties to the smaller p.
-    p, r = divmod(xn * q, xd)
-    return p + 1 if 2 * r > xd else p
+def _nearest(x: Fraction, q: int) -> int:
+    # The numerator p nearest q*x, exact ties to the smaller p.
+    p, r = divmod(x.numerator * q, x.denominator)
+    return p + 1 if 2 * r > x.denominator else p
 
 
 def _positive_epsilon(epsilon: Fraction) -> Fraction:
@@ -489,7 +453,7 @@ def _walk(parts: Sequence[tuple[int, ...]], top: int) -> tuple:
 
 def _solution(xs: Sequence[Fraction], q: int, epsilon: Fraction, method: str) -> Solution:
     # The nearest numerators of a scan's q, as _first_fit's test takes them.
-    ps = [_nearest(x.numerator, x.denominator, q) for x in xs]
+    ps = [_nearest(x, q) for x in xs]
     return Solution(q, tuple(ps), _exact_errors(xs, q, ps), epsilon, method)
 
 
@@ -592,21 +556,20 @@ def _best_at_order(y: Fraction, order: int) -> tuple[int, int]:
 def compose_solve(cs: ConstraintSet, epsilon: Fraction) -> Solution:
     """Common-denominator composition heuristic.
 
-    Stage 1 approximates x_1 by Farey bracketing at order ceil(1/eps),
-    the natural scale of eps.  Each later stage
-    approximates q * x_k the same way and multiplies the denominators:
-    Q <- q * q_k, with earlier numerators rescaled by q_k.  The result
-    carries exact errors and a ``satisfies_constraints`` flag computed by
-    :func:`check_solution`; nothing guarantees the flag is True, which is
-    the point of reporting it.  A common denominator past 10**30 raises
-    BudgetExceededError.
+    The common denominator q starts at 1.  Stage k approximates q * x_k
+    by Farey bracketing at order ceil(1/eps), the natural scale of eps,
+    as p_k/q_k, and multiplies the denominators: q <- q * q_k, with
+    earlier numerators rescaled by q_k; stage 1 so approximates x_1
+    itself.  The result carries exact errors and a
+    ``satisfies_constraints`` flag computed by :func:`check_solution`;
+    nothing guarantees the flag is True, which is the point of reporting
+    it.  Every stage is capped, the first one too: a stage whose common
+    denominator would pass 10**30 raises BudgetExceededError.
     """
     epsilon = _positive_epsilon(epsilon)
     stage_order = math.ceil(1 / epsilon)
-    xs = cs.xs
-    p1, q = _best_at_order(xs[0], stage_order)
-    ps = [p1]
-    for x in xs[1:]:
+    q, ps = 1, []
+    for x in cs.xs:
         pk, qk = _best_at_order(x * q, stage_order)
         if q * qk > _MAX_COMPOSE_DENOMINATOR:
             raise BudgetExceededError(
@@ -632,13 +595,15 @@ def dirichlet_solve(
     Such a q exists by the pigeonhole argument, so an exhausted scan is
     reported as InternalError rather than infeasibility.  The recorded
     epsilon is 1/T, the guaranteed per-item scale (errors are <= 1/(Tq)).
-    :func:`_first_fit` walks the window of the plan's pivot, the first
-    target x_1 (:func:`_plan`; the weights are uniform), with the fixed
-    C = floor(xd/T), which is exactly the test ||q*x_1|| <= 1/T, so a scan
-    visits about 2/T of its range; it walks on the convergents for q up to
-    T**n - 1 (:func:`_walk`).
+    The scan's items are built from the targets directly, in input order
+    with x_1 moved last as the pivot whose window :func:`_first_fit`
+    walks (the order :func:`_plan` gives uniform weights); each has the
+    fixed test d * T <= xd, d = xd * ||q*x||, which is exactly
+    ||q*x|| <= 1/T, so a scan visits about 2/T of its range.  It walks on
+    the convergents for q up to T**n - 1 (:func:`_walk`).  An exact
+    Fraction target is passed through, not copied.
     """
-    xs = tuple(Fraction(x) for x in xs)
+    xs = tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
     if not xs:
         raise InvalidInputError("need at least one target")
     if not isinstance(T, int) or T < 2:
@@ -659,9 +624,10 @@ def dirichlet_solve(
         raise BudgetExceededError(
             f"T**n - 1 = {_count_text(q_max)} exceeds scan budget {_count_text(max_scan)}"
         )
-    parts = _plan([(x, 1) for x in xs])
-    # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||.
-    q = _first_fit([(xn, xd, 0, xd, T) for xn, xd, _, _ in parts], 1, q_max, _walk(parts, q_max))
+    # ||q*x|| <= 1/T is d * T <= xd with d = xd * ||q*x||; the pivot x_1
+    # goes last.
+    items = [(x.numerator, x.denominator, 0, x.denominator, T) for x in [*xs[1:], xs[0]]]
+    q = _first_fit(items, 1, q_max, _walk(items, q_max))
     if q is not None:
         return _solution(xs, q, Fraction(1, T), "dirichlet")
     raise InternalError(

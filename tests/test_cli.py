@@ -452,6 +452,17 @@ def test_solve_compose_method(tmp_path, capsys):
     assert obj["satisfies_constraints"] is False
 
 
+def test_solve_compose_caps_the_first_stage(tmp_path, capsys):
+    path = write(tmp_path, "root.txt", "sqrt2 1\n")
+    argv = ["solve", "--input", path, "--epsilon", "1e-40", "--method", "compose", "--precision", "80"]
+    assert invoke(capsys, argv) == (
+        1,
+        "",
+        "budget exceeded: stage denominator 5494168403412088213319314492946575384825 exceeds cap "
+        "1000000000000000000000000000000\n",
+    )
+
+
 def test_precision_flag_applies_and_is_echoed(tmp_path, capsys):
     path = write(tmp_path, "pi.txt", "pi 1\n")
     code, out, _ = invoke(

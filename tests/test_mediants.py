@@ -125,6 +125,11 @@ def test_subdivide_endpoints_when_gap_already_small():
     assert subdivide(UNIT, F(1), 1).points == (F(0), F(1))
     # the pair gap 1/6 already meets the bound 1/5
     assert subdivide(THIRD_HALF, F(1, 5), 100).points == (F(1, 3), F(1, 2))
+    # The empty chain with every later check at its edge: on the ascending
+    # side of 1/3 < 1/2 the gap is exactly 1/6, the anchor's denominator 3
+    # is the bound and two points are all that is allowed.
+    assert subdivide(THIRD_HALF, F(1, 6), 3, max_points=2).points == (F(1, 3), F(1, 2))
+    assert subdivide(UNIT, F(1), 1, max_points=2).points == (F(0), F(1))
 
 
 def test_subdivide_three_point_example():

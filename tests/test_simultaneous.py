@@ -309,6 +309,17 @@ def test_compose_denominator_cap():
         compose_solve(cs((SQRT2_50, F(1)), (PHI_50, F(1))), F(1, 10**16))
 
 
+def test_compose_caps_its_first_stage():
+    # Stage 1 is a stage like the others: sqrt2 alone at eps = 10**-40
+    # needs a 40-digit q_1, past the cap.
+    message = (
+        "^stage denominator 5494168403412088213319314492946575384825 exceeds cap "
+        "1000000000000000000000000000000$"
+    )
+    with pytest.raises(BudgetExceededError, match=message):
+        compose_solve(cs((parse_real("sqrt2", 80), F(1))), F(1, 10**40))
+
+
 def test_dirichlet_examples():
     sol = dirichlet_solve([PHI_50 - 1], 3)
     assert (sol.q, sol.ps) == (2, (1,))

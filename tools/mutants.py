@@ -1,4 +1,4 @@
-"""Run the listed mutants of the scan kernels against their tests.
+"""Run the listed mutants of the exact kernels against their tests.
 
     python tools/mutants.py
 
@@ -10,7 +10,7 @@ tool copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary
 directory once per mutant, applies that one change, and runs
 
     python -m pytest -q -x -rfE -p no:cacheprovider --hypothesis-seed=0 \
-        tests/test_simultaneous.py tests/test_farey.py
+        tests/test_simultaneous.py tests/test_farey.py tests/test_mediants.py
 
 there, one process at a time.  It prints each mutant as ``killed`` with
 the first failing test, or as ``survived``.  The unchanged copy is run
@@ -34,7 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIM = "src/fareyapprox/simultaneous.py"
-TESTS = ["tests/test_simultaneous.py", "tests/test_farey.py"]
+MED = "src/fareyapprox/mediants.py"
+TESTS = ["tests/test_simultaneous.py", "tests/test_farey.py", "tests/test_mediants.py"]
 # A mutant whose tests run longer than this counts as killed: a scan that
 # no longer ends is a fault the tests would hang on.
 TIMEOUT_S = 900
@@ -79,6 +80,8 @@ MUTANTS = [
     ("first-in-window-open-end", SIM,
      "j = ((j + 1) * m - b + w - 1) // a", "j = ((j + 1) * m - b + w) // a",
      "equivalent: the interval holds one multiple of a and is shorter than a, so a cannot divide its open end"),
+    # A pair whose own gap meets the bound is a subdivision chain of length 0.
+    ("empty-chain-forbidden", MED, "p = max(0,", "p = max(1,", "killed"),
 ]
 
 
