@@ -19,7 +19,7 @@ smaller eps, so each point starts at the previous point's witness (the
 witnesses are records of max_i ||q*x_i|| / (q*t_i), the best simultaneous
 approximations of Lagarias 1982).  A point that witness does not settle
 walks on from it, so a sweep walks each q of its overall range at most
-once.
+once, and a point it settles reuses its answer.
 
 No scan tests every q of its range.  A q that fits every item fits one
 pivot item, and the q whose ||q*x|| lies in a window are the return times
@@ -460,49 +460,59 @@ def _solution(xs: Sequence[Fraction], q: int, epsilon: Fraction, method: str) ->
 def _smallest_witnesses(
     cs: ConstraintSet,
     grid: Sequence[Fraction],
+    pairs: Sequence[tuple[int, int]],
     max_scan: int,
 ) -> list[tuple[int, Solution | None]]:
     """Range end floor(t_min/eps) and smallest-q solution of each grid point.
 
-    The grid must be strictly descending.  A q that fails the error bounds
-    at some eps fails them at every smaller eps, so point k needs no q
-    below the witness of point k-1, or below the end of its range when it
-    had none.  Each point therefore starts at that q, which it tests first
-    and which settles most points of a fine grid at once; a point it does
-    not settle walks on from that q, so the sweep walks each q of its
-    overall range at most once.  No point is skipped, because feasibility
-    is not monotone in eps (a large eps can have an empty range while
-    smaller ones are feasible).  The first point, in grid order, whose
-    range exceeds ``max_scan`` and that has no witness within it raises
+    The grid must be strictly descending, and ``pairs`` holds each point's
+    (numerator, denominator).  A q that fails the error bounds at some eps
+    fails them at every smaller eps, so point k needs no q below the
+    witness of point k-1, or below the end of its range when it had none.
+    Each point therefore starts at that q, which it tests first and which
+    settles most points of a fine grid at once; a point it does not settle
+    walks on from that q, so the sweep walks each q of its overall range
+    at most once.  No point is skipped, because feasibility is not
+    monotone in eps (a large eps can have an empty range while smaller
+    ones are feasible).  The first point, in grid order, whose range
+    exceeds ``max_scan`` and that has no witness within it raises
     BudgetExceededError, as a per-point scan would.
 
-    Every walk of the sweep runs on the one walk of the plan
-    (:func:`_walk`), built for the last point's range, the largest, so it
-    descends the pivot's convergent once per sweep.  The sweep is set up
-    in integers from the numerators and denominators of eps, x_i and t_i,
-    read once per call: each point's range end and each item's bound
-    build no Fraction.
+    Once per sweep, in integers from the numerators and denominators of
+    x_i and t_i: the plan (:func:`_plan`), every point's range end, the
+    one walk (:func:`_walk`), built for the last point's range, the
+    largest, so the pivot's convergent is descended once, and each item's
+    bound factors tn*xd and td.  Per point: each item's bound takes the
+    point's (en, ed) in one product each, and one :func:`_first_fit` call
+    finds the witness.  A witness that is the previous point's q reuses
+    that point's numerators and errors, which do not depend on eps, so a
+    sweep builds one answer (:func:`_solution`) per distinct q.
     """
     parts = _plan(cs.items)
     *_, tn_min, td_min = parts[-1]
-    ends = [(tn_min * g.denominator) // (td_min * g.numerator) for g in grid]
+    ends = [(tn_min * ed) // (td_min * en) for en, ed in pairs]
     # The last point's range end is the largest.
     walk = _walk(parts, min(ends[-1], max_scan))
+    # Integer form: |x - p/q| <= eps*t with x = xn/xd, eps = en/ed and
+    # t = tn/td becomes d * ed*td <= en*tn*xd * q with d = xd * ||q*xn/xd||;
+    # tn*xd and td are the same at every point.  The bound en*tn/(ed*td) is
+    # left unreduced: the test and the window floor((a*b + c)/den) depend
+    # only on its value, so they match those of the reduced eps*t and need
+    # no gcd.
+    factors = [(xn, xd, tn * xd, td) for xn, xd, tn, td in parts]
     xs = cs.xs
     points: list[tuple[int, Solution | None]] = []
-    start = 1
-    for epsilon, q_max in zip(grid, ends):
-        en, ed = epsilon.numerator, epsilon.denominator
+    start, witness = 1, None
+    for epsilon, (en, ed), q_max in zip(grid, pairs, ends):
         limit = min(q_max, max_scan)
-        # Integer form: |x - p/q| <= eps*t with x = xn/xd, eps = en/ed and
-        # t = tn/td becomes d * ed*td <= en*tn*xd * q with
-        # d = xd * ||q*xn/xd||.  The bound en*tn/(ed*td) is left unreduced:
-        # the test and the window floor((a*b + c)/den) depend only on its
-        # value, so they match those of the reduced eps*t and need no gcd.
-        items = [(xn, xd, en * tn * xd, 0, ed * td) for xn, xd, tn, td in parts]
+        items = [(xn, xd, en * a, 0, ed * td) for xn, xd, a, td in factors]
         q = _first_fit(items, start, limit, walk)
         if q is not None:
-            points.append((q_max, _solution(xs, q, epsilon, "brute")))
+            if witness is not None and q == witness.q:
+                witness = Solution(q, witness.ps, witness.errors, epsilon, "brute")
+            else:
+                witness = _solution(xs, q, epsilon, "brute")
+            points.append((q_max, witness))
             start = q
             continue
         if q_max > max_scan:
@@ -511,7 +521,7 @@ def _smallest_witnesses(
                 f"{_count_text(q_max)} denominators"
             )
         points.append((q_max, None))
-        start = limit + 1
+        start, witness = limit + 1, None
     return points
 
 
@@ -532,7 +542,8 @@ def brute_force_solve(
     """
     epsilon = _positive_epsilon(epsilon)
     _check_budget(max_scan)
-    [(q_max, witness)] = _smallest_witnesses(cs, (epsilon,), max_scan)
+    pair = (epsilon.numerator, epsilon.denominator)
+    [(q_max, witness)] = _smallest_witnesses(cs, (epsilon,), (pair,), max_scan)
     if witness is not None:
         return witness
     if q_max < 1:
@@ -649,6 +660,12 @@ def epsilon_threshold(
     of a fine grid; a point it does not settle walks on from there to its
     witness or to the end of its range, so a sweep costs about one walk
     over its largest range, plus O(log) steps per point to start a walk.
+    The grid is validated on its points' integer (numerator, denominator)
+    pairs, which the sweep then reads: it sets up its plan, walk, range
+    ends and each item's bound factors once, and a point only multiplies
+    its own pair into the bounds and runs its scan.  A point settled by
+    the previous point's witness reuses that witness's numerators and
+    errors under its own epsilon, so one answer is built per distinct q.
     Feasibility is reported pointwise (no monotonicity in eps is
     assumed); epsilon0 is the top of the unbroken feasible suffix, if
     any.  BudgetExceededError is raised for the first point whose range
@@ -663,7 +680,7 @@ def epsilon_threshold(
     if any(an * bd <= bn * ad for (an, ad), (bn, bd) in zip(pairs, pairs[1:])):
         raise InvalidInputError("grid must be strictly descending")
     _check_budget(max_scan)
-    witnesses = [w for _, w in _smallest_witnesses(cs, grid, max_scan)]
+    witnesses = [w for _, w in _smallest_witnesses(cs, grid, pairs, max_scan)]
     feasible = tuple(w is not None for w in witnesses)
     epsilon0 = None
     for g, ok in zip(reversed(grid), reversed(feasible)):

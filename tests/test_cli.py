@@ -1038,28 +1038,9 @@ def test_negative_looking_values_are_values(capsys):
     assert code == 1 and out == "" and "outside [0, 1]" in err
 
 
-_COMMANDS = "{farey,neighbors,subdivide,solve,dirichlet,sweep,compare,selftest}"
-_TOP_HELP = f"""\
-usage: farey-approx [-h]
-                    {_COMMANDS}
-                    ...
-
-Simultaneous rational approximation with joint error/denominator control
-
-positional arguments:
-  {_COMMANDS}
-    farey               list a Farey sequence, one fraction per line
-    neighbors           bracket a value between consecutive Farey terms
-    subdivide           gap-bounded mediant subdivision of a Farey pair
-    solve               find one denominator fitting every constraint
-    dirichlet           classical pigeonhole baseline solver
-    sweep               feasibility sweep over a descending epsilon grid
-    compare             constrained solver vs. pigeonhole baseline
-    selftest            packaged smoke test
-
-options:
-  -h, --help            show this help message and exit
-"""
+# Goldens that tools/interpreters.py also compares under other Pythons.
+_GOLDENS = Path(__file__).resolve().parent / "cli_output"
+_TOP_HELP = (_GOLDENS / "help.txt").read_text(encoding="utf-8")
 _SUBDIVIDE_USAGE = """\
 usage: farey-approx subdivide [-h] --lo LO --hi HI --order ORDER --gap GAP
                               [--max-denom MAX_DENOM]
@@ -1136,17 +1117,7 @@ def test_cached_parser_carries_no_state(tmp_path, capsys, monkeypatch):
     assert [invoke(capsys, argv) for argv in calls] == fresh
 
 
-SELFTEST_STDOUT = """\
-farey properties order=1: ok (4 properties)
-farey properties order=2: ok (4 properties)
-farey properties order=25: ok (4 properties)
-farey properties order=100: ok (4 properties)
-gap identities: ok (460 identities over 23 base pairs)
-compose vs oracle: ok (24 instances, 8 satisfied)
-oracle vs Fraction scan: ok (24 instances, 20 feasible)
-sweep vs oracle: ok (24 grids, 72 points, 53 feasible)
-selftest: 596 checks run, all passed
-"""
+SELFTEST_STDOUT = (_GOLDENS / "selftest.txt").read_text(encoding="utf-8")
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

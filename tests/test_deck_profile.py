@@ -22,10 +22,11 @@ def load_tool():
 def test_sweep_deck_profile_lists_every_stratum():
     # One pass over the sweep deck: every answer checks out, and each
     # stratum of the deck gets its line before the slowest requests, with
-    # its count of exact tests and of the item remainders they compute
-    # last.  A second run counts the same tests and remainders.
+    # its count of witness builds, of exact tests and of the item
+    # remainders they compute last.  A second run counts the same builds,
+    # tests and remainders.
     deck = load_tool().load_workloads().DECKS["sweep"]
-    fits, remainders = [], []
+    builds, fits, remainders = [], [], []
     for _ in range(2):
         proc = subprocess.run(
             [sys.executable, str(TOOL), "--workload", "sweep", "--seed", "1", "--passes", "1"],
@@ -36,16 +37,19 @@ def test_sweep_deck_profile_lists_every_stratum():
         assert proc.returncode == 0 and proc.stderr == ""
         table, slowest = proc.stdout.split("\nslowest 10 requests\n")
         header, columns, *rows = table.splitlines()
-        assert columns.split()[-2:] == ["fits", "remainders"]
+        assert columns.split()[-3:] == ["builds", "fits", "remainders"]
         assert [row.split()[0] for row in rows] == list(deck)
         assert [int(row.split()[1]) for row in rows] == list(deck.values())
-        assert all(len(row.split()) == 6 for row in rows)
+        assert all(len(row.split()) == 7 for row in rows)
+        builds.append([int(row.split()[-3]) for row in rows])
         fits.append([int(row.split()[-2]) for row in rows])
         remainders.append([int(row.split()[-1]) for row in rows])
         assert header.endswith(
-            f", {sum(fits[-1])} _fits calls and {sum(remainders[-1])} item remainders per pass"
+            f", {sum(builds[-1])} witness builds, {sum(fits[-1])} _fits calls and "
+            f"{sum(remainders[-1])} item remainders per pass"
         )
         assert len(slowest.splitlines()) == 1 + 10
+    assert builds[0] == builds[1] and sum(builds[0]) > 0
     assert fits[0] == fits[1] and sum(fits[0]) > 0
     assert remainders[0] == remainders[1]
     # Every call computes at least one remainder.

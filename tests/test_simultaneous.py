@@ -1196,19 +1196,35 @@ def test_every_scan_descends_its_pivot_once(monkeypatch):
     assert targets == [convergent(x, top) for x, top in tops]
 
 
-def test_sweep_tries_previous_witness_first(visited):
+def test_sweep_tries_previous_witness_first(visited, monkeypatch):
     # 200 points share 7 witnesses: each point first tests the witness of
     # the one before (q = 1 for the first), so a walk runs only where the
     # witness changes, and the walks put 27 more q through the exact test.
     # Each walk finds its witness in its first block, isqrt(8*k) + 1 long
     # at eps = 1/k, and takes that block's end window for all its q, on
     # the convergents for q up to 1005 (t/eps at the last point), each
-    # window one unit wider: that lets one more q through.
+    # window one unit wider: that lets one more q through.  A point whose
+    # witness is the previous point's q reuses that answer's numerators
+    # and errors, so an answer is built once per distinct q, and each
+    # reused one is the oracle's at its own point.
+    builds = []
+    solution = simultaneous._solution
+    monkeypatch.setattr(
+        simultaneous, "_solution", lambda *args: builds.append(args[1]) or solution(*args)
+    )
     c = cs((SQRT2_50, F(1)), (parse_real("sqrt3", 50), F(1)))
-    rep = epsilon_threshold(c, [F(1, k) for k in range(10, 1010, 5)])
+    grid = [F(1, k) for k in range(10, 1010, 5)]
+    rep = epsilon_threshold(c, grid)
     assert all(rep.feasible)
     assert len({w.q for w in rep.witnesses}) == 7
     assert len(visited) == 200 + 27
+    assert builds == sorted({w.q for w in rep.witnesses})
+    reused = [
+        (eps, w) for eps, w, before in zip(grid[1:], rep.witnesses[1:], rep.witnesses)
+        if w.q == before.q
+    ]
+    assert len(reused) == 193
+    assert all(brute_force_solve(c, eps) == w for eps, w in reused)
 
 
 def test_epsilon_threshold_examples():

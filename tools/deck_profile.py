@@ -10,14 +10,16 @@ digest and the independent re-checks); any problem is printed and the
 exit code is 1.  Otherwise it prints, for each stratum of the deck, its
 request count, the median time of its requests (each request's time is
 its median over the passes), the stratum's share of a pass and its
-requests' calls of the scans' exact test ``simultaneous._fits`` and the
-item remainders those calls compute (one per item tested, up to the
-first item that rejects the q), then the ten slowest requests with their
-own share.  Both are counted in one more pass, untimed, so a change of
-time reads as less work (fewer calls) or as cheaper work (fewer
-remainders per call); they repeat exactly from run to run.  Times are
-wall-clock seconds of this machine, with no calibration, so they compare
-runs made one after the other on one machine, not across machines.
+requests' witness builds (calls of ``simultaneous._solution``, the one
+builder of a scan's answer), their calls of the scans' exact test
+``simultaneous._fits`` and the item remainders those calls compute (one
+per item tested, up to the first item that rejects the q), then the ten
+slowest requests with their own share.  The three are counted in one
+more pass, untimed, so a change of time reads as less work (fewer builds
+or calls) or as cheaper work (fewer remainders per call); they repeat
+exactly from run to run.  Times are wall-clock seconds of this machine,
+with no calibration, so they compare runs made one after the other on
+one machine, not across machines.
 """
 
 from __future__ import annotations
@@ -42,17 +44,23 @@ def load_workloads():
     return module
 
 
-def count_fits(workloads, fa, requests) -> list[tuple[int, int]]:
-    # The _fits calls of each request in one pass and the item remainders
-    # they compute, with the module's _fits wrapped by a counter for the
-    # pass only.  The wrapper puts the items through the real _fits one at
-    # a time, in the order given, and stops at the first that rejects q,
-    # as _fits does, so it counts one remainder per item tested.
+def count_work(workloads, fa, requests) -> list[tuple[int, int, int]]:
+    # The witness builds, _fits calls and item remainders of each request
+    # in one pass, with the module's _solution and _fits wrapped by
+    # counters for the pass only.  The _fits wrapper puts the items through
+    # the real _fits one at a time, in the order given, and stops at the
+    # first that rejects q, as _fits does, so it counts one remainder per
+    # item tested.
     sim = fa.simultaneous
-    fits = sim._fits
-    calls = remainders = 0
+    solution, fits = sim._solution, sim._fits
+    builds = calls = remainders = 0
 
-    def counting(items, q):
+    def counting_solution(*args):
+        nonlocal builds
+        builds += 1
+        return solution(*args)
+
+    def counting_fits(items, q):
         nonlocal calls, remainders
         calls += 1
         for item in items:
@@ -62,14 +70,14 @@ def count_fits(workloads, fa, requests) -> list[tuple[int, int]]:
         return True
 
     counts = []
-    sim._fits = counting
+    sim._solution, sim._fits = counting_solution, counting_fits
     try:
         for req in requests:
-            before = calls, remainders
+            before = builds, calls, remainders
             workloads.execute(fa, req)
-            counts.append((calls - before[0], remainders - before[1]))
+            counts.append((builds - before[0], calls - before[1], remainders - before[2]))
     finally:
-        sim._fits = fits
+        sim._solution, sim._fits = solution, fits
     return counts
 
 
@@ -97,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                 problem = workloads.check(fa, req, result)
                 if problem is not None:
                     problems.append(problem)
-        fits, remainders = zip(*count_fits(workloads, fa, requests))
+        builds, fits, remainders = zip(*count_work(workloads, fa, requests))
     if problems:
         for problem in problems:
             print(f"problem: {problem}")
@@ -107,13 +115,15 @@ def main(argv: list[str] | None = None) -> int:
     total = sum(medians)
     print(f"{args.workload} seed {args.seed}: {len(deck)} requests, {args.passes} passes, "
           f"{total * 1e3:.2f} ms per pass (sum of per-request medians), "
-          f"{sum(fits)} _fits calls and {sum(remainders)} item remainders per pass")
-    print(f"{'stratum':<28}{'requests':>9}{'median ms':>11}{'share':>8}{'fits':>9}{'remainders':>12}")
+          f"{sum(builds)} witness builds, {sum(fits)} _fits calls and "
+          f"{sum(remainders)} item remainders per pass")
+    print(f"{'stratum':<28}{'requests':>9}{'median ms':>11}{'share':>8}{'builds':>8}{'fits':>9}"
+          f"{'remainders':>12}")
     for stratum in workloads.DECKS[args.workload]:
         own = [k for k, entry in enumerate(deck) if entry["stratum"] == stratum]
         spent = [medians[k] for k in own]
         print(f"{stratum:<28}{len(own):>9}{statistics.median(spent) * 1e3:>11.3f}"
-              f"{sum(spent) / total:>8.1%}{sum(fits[k] for k in own):>9}"
+              f"{sum(spent) / total:>8.1%}{sum(builds[k] for k in own):>8}{sum(fits[k] for k in own):>9}"
               f"{sum(remainders[k] for k in own):>12}")
     print(f"\nslowest {min(SLOWEST, len(deck))} requests")
     print(f"{'id':<10}{'stratum':<28}{'ms':>9}{'share':>8}")

@@ -8,7 +8,12 @@ the tool runs every script of ``demos/`` from the repository root with
 0, an empty stderr and stdout equal to ``tests/demo_output/<name>.txt``.
 It then builds the README transcript with ``transcript`` of
 ``tests/test_readme_examples.py``, which needs no pytest, under the same
-interpreter, and compares it with ``tests/readme_output.txt``.
+interpreter, and compares it with ``tests/readme_output.txt``.  Last it
+runs ``python -m fareyapprox selftest`` and ``python -m fareyapprox
+--help`` and compares them with ``tests/cli_output/selftest.txt`` and
+``tests/cli_output/help.txt``, the goldens ``tests/test_cli.py`` reads.
+Every check runs with ``COLUMNS=80``, the width the help golden is
+wrapped at.
 
 Only the standard library is used, here and in what the interpreters
 run, so an interpreter without pytest can be checked.  One line is
@@ -43,6 +48,7 @@ def check(cmd: list[str], expected: str) -> str:
         "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
         "PYTHONIOENCODING": "utf-8",
         "PYTHONDONTWRITEBYTECODE": "1",
+        "COLUMNS": "80",
     }
     try:
         proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S)
@@ -69,6 +75,10 @@ def main(argv: list[str] | None = None) -> int:
         for demo in sorted((ROOT / "demos").glob("*.py"))
     ]
     checks.append(("README transcript", ["-c", _TRANSCRIPT], ROOT / "tests" / "readme_output.txt"))
+    checks += [
+        (f"-m fareyapprox {command}", ["-m", "fareyapprox", command], ROOT / "tests" / "cli_output" / golden)
+        for command, golden in (("selftest", "selftest.txt"), ("--help", "help.txt"))
+    ]
     differs = 0
     for python in args.python:
         for name, cmd, golden in checks:

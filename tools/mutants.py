@@ -6,8 +6,10 @@ Each entry of ``MUTANTS`` names one small change to the source: a file
 of the repository, a text that occurs in it exactly once, the text that
 replaces it, and what the tests should make of it, ``killed`` or
 ``equivalent: <reason>`` for a change that cannot alter any answer.  The
-tool copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary
-directory once per mutant, applies that one change, and runs
+tool first copies ``src``, ``tests`` and ``pyproject.toml`` into one
+snapshot, so a file edited while it runs reaches none of the runs.  It
+copies that snapshot into a temporary directory once per mutant, applies
+that one change, and runs
 
     python -m pytest -q -x -rfE -p no:cacheprovider --hypothesis-seed=0 \
         tests/test_simultaneous.py tests/test_farey.py tests/test_mediants.py
@@ -82,17 +84,28 @@ MUTANTS = [
      "equivalent: the interval holds one multiple of a and is shorter than a, so a cannot divide its open end"),
     # A pair whose own gap meets the bound is a subdivision chain of length 0.
     ("empty-chain-forbidden", MED, "p = max(0,", "p = max(1,", "killed"),
+    # A sweep point reuses the previous point's answer only for the same q,
+    # and its bounds multiply the point's (en, ed) into factors set up once.
+    ("witness-reuse-any-q", SIM,
+     "if witness is not None and q == witness.q:", "if witness is not None:", "killed"),
+    ("bound-factor-wrong", SIM,
+     "(xn, xd, tn * xd, td) for", "(xn, xd, tn * td, td) for", "killed"),
 ]
 
 
-def _run_tests(mutant: tuple[str, str, str, str, str] | None) -> tuple[bool, str]:
-    # (passed, first failing test) of the test files on a fresh copy with
-    # the mutant applied, or with none.
+def _snapshot(dest: Path) -> None:
+    # The files every run copies: src, tests and pyproject.toml as they are now.
+    for tree in ("src", "tests"):
+        shutil.copytree(ROOT / tree, dest / tree, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run_tests(snapshot: Path, mutant: tuple[str, str, str, str, str] | None) -> tuple[bool, str]:
+    # (passed, first failing test) of the test files on a fresh copy of the
+    # snapshot with the mutant applied, or with none.
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        work = Path(tmp)
-        for tree in ("src", "tests"):
-            shutil.copytree(ROOT / tree, work / tree, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        work = Path(tmp) / "tree"
+        shutil.copytree(snapshot, work)
         if mutant is not None:
             _, file, old, new, _ = mutant
             path = work / file
@@ -111,20 +124,24 @@ def _run_tests(mutant: tuple[str, str, str, str, str] | None) -> tuple[bool, str
 
 
 def main() -> int:
-    passed, first = _run_tests(None)
-    if not passed:
-        print(f"the unchanged copy fails: {first}")
-        return 2
-    wrong = 0
-    for mutant in MUTANTS:
-        name, expected = mutant[0], mutant[4]
-        passed, first = _run_tests(mutant)
-        equivalent = expected.startswith("equivalent")
-        if passed:
-            print(f"{name}: survived" + (" (equivalent)" if equivalent else ""), flush=True)
-        else:
-            print(f"{name}: killed by {first}" + (" (listed as equivalent)" if equivalent else ""), flush=True)
-        wrong += passed != equivalent
+    with tempfile.TemporaryDirectory(prefix="mutants-snapshot-") as tmp:
+        snapshot = Path(tmp)
+        _snapshot(snapshot)
+        passed, first = _run_tests(snapshot, None)
+        if not passed:
+            print(f"the unchanged copy fails: {first}")
+            return 2
+        wrong = 0
+        for mutant in MUTANTS:
+            name, expected = mutant[0], mutant[4]
+            passed, first = _run_tests(snapshot, mutant)
+            equivalent = expected.startswith("equivalent")
+            if passed:
+                print(f"{name}: survived" + (" (equivalent)" if equivalent else ""), flush=True)
+            else:
+                print(f"{name}: killed by {first}" + (" (listed as equivalent)" if equivalent else ""),
+                      flush=True)
+            wrong += passed != equivalent
     return 1 if wrong else 0
 
 
