@@ -36,12 +36,11 @@ from typing import Iterator, Union
 
 from ._record import record
 from .errors import EndOfSequenceError, InvalidInputError
-from .rationals import _fraction_text, _int_text
+from .rationals import _as_fraction, _fraction_text, _int_text, _require_int
 
 
 def _require_order(order: int) -> None:
-    if not isinstance(order, int) or order < 1:
-        raise InvalidInputError("Farey order must be a positive integer")
+    _require_int(order, 1, "Farey order must be a positive integer")
 
 
 @record
@@ -142,24 +141,18 @@ def _convergent(xn: int, xd: int, top: int) -> tuple[int, int]:
     with windows rounded up to steps of 1/b (simultaneous._first_fit).  For
     top <= 1, b = 1 and a is the integer nearest x, as |x - a| <= 1/2.
     Only the denominators are carried, by Euclid's algorithm on xn and xd,
-    two steps a turn so that no pair is swapped, and a is the integer
-    nearest b*x, as |b*x - a| <= 1/3 once b >= 2.  A remainder reaches 0
-    only with b = xd > top, so no step divides by 0.  b is below
-    (c + 1)*top for the partial quotient c that takes the denominators
-    past top, so it is near top unless x lies very close to a fraction of
-    denominator below top.
+    and a is the integer nearest b*x, as |b*x - a| <= 1/3 once b >= 2.  A
+    remainder reaches 0 only with b = xd > top, so no step divides by 0.
+    b is below (c + 1)*top for the partial quotient c that takes the
+    denominators past top, so it is near top unless x lies very close to a
+    fraction of denominator below top.
     """
     if xd <= top:
         return xn, xd
     n, d, b0, b = xd, xn % xd, 0, 1
     while b < top:
-        k, n = divmod(n, d)
-        b0 += k * b
-        if b0 >= top:
-            b = b0
-            break
-        k, d = divmod(d, n)
-        b += k * b0
+        k, r = divmod(n, d)
+        n, d, b0, b = d, r, b, k * b + b0
     return (2 * b * xn + xd) // (2 * xd), b
 
 
@@ -289,7 +282,7 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
     linear in the order.
     """
     _require_order(order)
-    x = Fraction(x)
+    x = _as_fraction(x)
     if not 0 <= x <= 1:
         raise InvalidInputError(f"value {_fraction_text(x)} outside [0, 1]")
     if x.denominator <= order:

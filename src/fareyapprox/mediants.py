@@ -25,7 +25,7 @@ from fractions import Fraction
 from ._record import record
 from .errors import BudgetExceededError, InfeasibleError, InvalidInputError
 from .farey import FareyPair
-from .rationals import _fraction_text, _int_text
+from .rationals import _as_fraction, _fraction_text, _int_text, _require_int
 
 
 @record
@@ -42,8 +42,7 @@ class Subdivision:
 
 
 def _require_count(count: int) -> None:
-    if not isinstance(count, int) or count < 0:
-        raise InvalidInputError("chain length must be a nonnegative integer")
+    _require_int(count, 0, "chain length must be a nonnegative integer")
 
 
 def _rungs(start: Fraction, step: Fraction, count: int) -> list[tuple[int, int]]:
@@ -114,10 +113,8 @@ def _plan_subdivision(
     """
     if gap_bound <= 0:
         raise InvalidInputError("gap bound must be positive")
-    if not isinstance(denom_bound, int) or denom_bound < 1:
-        raise InvalidInputError("denominator bound must be a positive integer")
-    if not isinstance(max_points, int) or max_points < 2:
-        raise InvalidInputError("max_points must be at least 2")
+    _require_int(denom_bound, 1, "denominator bound must be a positive integer")
+    _require_int(max_points, 2, "max_points must be at least 2")
     h1, k1 = base.left.numerator, base.left.denominator
     h2, k2 = base.right.numerator, base.right.denominator
     if max(k1, k2) > denom_bound:
@@ -175,7 +172,7 @@ def subdivide(
     ``denom_bound`` and BudgetExceededError when more than ``max_points``
     points would be needed.
     """
-    gap_bound = Fraction(gap_bound)
+    gap_bound = _as_fraction(gap_bound)
     pairs = _plan_subdivision(base, gap_bound, denom_bound, max_points)
     points = tuple(Fraction(h, k) for h, k in pairs)
     return Subdivision(points, gap_bound, denom_bound)

@@ -15,6 +15,10 @@ All downstream guarantees then hold exactly for the stand-in.  The stand-in
 is reproducible bit-for-bit from the precision parameter alone.  A
 constant's digits are computed once per process, at the highest precision
 asked for so far; a lower precision truncates them.
+
+Every public entry takes its arguments through the package's two intake
+rules: a number goes through :func:`_as_fraction`, and an integer argument
+with a least value through :func:`_require_int`.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
 # The smallest int that str() refuses at its default limit of 4300 digits.
 _PRINT_LIMIT = 10**4300
+
+
+def _as_fraction(x) -> Fraction:
+    # A Fraction is immutable, so an exact one is passed through, not
+    # copied; anything else, a Fraction subclass included, is converted.
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _require_int(value: int, least: int, message: str) -> None:
+    if not isinstance(value, int) or value < least:
+        raise InvalidInputError(message)
 
 
 def nearest_int_distance(x: Fraction) -> Fraction:

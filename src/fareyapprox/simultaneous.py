@@ -47,7 +47,7 @@ from typing import Iterable, Sequence, Union
 from ._record import record
 from .errors import BudgetExceededError, InternalError, InvalidInputError
 from .farey import _bracket, _convergent, _descent, _steps
-from .rationals import _PRINT_LIMIT
+from .rationals import _PRINT_LIMIT, _as_fraction, _require_int
 
 #: Default cap on exhaustive denominator scans.
 DEFAULT_MAX_SCAN = 10_000_000
@@ -67,7 +67,7 @@ class ConstraintSet:
     items: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        items = tuple((Fraction(x), Fraction(t)) for x, t in self.items)
+        items = tuple((_as_fraction(x), _as_fraction(t)) for x, t in self.items)
         if not items:
             raise InvalidInputError("constraint set must contain at least one item")
         if any(t <= 0 for _, t in items):
@@ -160,9 +160,8 @@ class ComparisonReport:
 
 def best_numerator(x: Fraction, q: int) -> int:
     """The integer p minimizing |x - p/q|; exact ties go to the smaller p."""
-    if not isinstance(q, int) or q < 1:
-        raise InvalidInputError("denominator must be a positive integer")
-    return _nearest(Fraction(x), q)
+    _require_int(q, 1, "denominator must be a positive integer")
+    return _nearest(_as_fraction(x), q)
 
 
 def _nearest(x: Fraction, q: int) -> int:
@@ -172,16 +171,14 @@ def _nearest(x: Fraction, q: int) -> int:
 
 
 def _positive_epsilon(epsilon: Fraction) -> Fraction:
-    # A Fraction is immutable, so an exact one is passed through, not copied.
-    epsilon = epsilon if type(epsilon) is Fraction else Fraction(epsilon)
+    epsilon = _as_fraction(epsilon)
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be positive")
     return epsilon
 
 
 def _check_budget(max_scan: int) -> None:
-    if not isinstance(max_scan, int) or max_scan < 0:
-        raise InvalidInputError("max_scan must be a nonnegative integer")
+    _require_int(max_scan, 0, "max_scan must be a nonnegative integer")
 
 
 def check_solution(
@@ -199,8 +196,7 @@ def check_solution(
     conjunction of everything.
     """
     epsilon = _positive_epsilon(epsilon)
-    if not isinstance(q, int) or q < 1:
-        raise InvalidInputError("q must be a positive integer")
+    _require_int(q, 1, "q must be a positive integer")
     if len(ps) != cs.n:
         raise InvalidInputError(f"expected {cs.n} numerators, got {len(ps)}")
     if not all(isinstance(p, int) for p in ps):
@@ -507,21 +503,18 @@ def _smallest_witnesses(
         limit = min(q_max, max_scan)
         items = [(xn, xd, en * a, 0, ed * td) for xn, xd, a, td in factors]
         q = _first_fit(items, start, limit, walk)
-        if q is not None:
-            if witness is not None and q == witness.q:
-                witness = Solution(q, witness.ps, witness.errors, epsilon, "brute")
-            else:
-                witness = _solution(xs, q, epsilon, "brute")
-            points.append((q_max, witness))
-            start = q
-            continue
-        if q_max > max_scan:
+        if q is None and q_max > max_scan:
             raise BudgetExceededError(
                 f"scan budget exhausted after {_count_text(max_scan)} of "
                 f"{_count_text(q_max)} denominators"
             )
-        points.append((q_max, None))
-        start, witness = limit + 1, None
+        if q is None:
+            start, witness = limit + 1, None
+        elif witness is not None and q == witness.q:
+            start, witness = q, Solution(q, witness.ps, witness.errors, epsilon, "brute")
+        else:
+            start, witness = q, _solution(xs, q, epsilon, "brute")
+        points.append((q_max, witness))
     return points
 
 
@@ -611,14 +604,12 @@ def dirichlet_solve(
     walks (the order :func:`_plan` gives uniform weights); each has the
     fixed test d * T <= xd, d = xd * ||q*x||, which is exactly
     ||q*x|| <= 1/T, so a scan visits about 2/T of its range.  It walks on
-    the convergents for q up to T**n - 1 (:func:`_walk`).  An exact
-    Fraction target is passed through, not copied.
+    the convergents for q up to T**n - 1 (:func:`_walk`).
     """
-    xs = tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    xs = tuple(map(_as_fraction, xs))
     if not xs:
         raise InvalidInputError("need at least one target")
-    if not isinstance(T, int) or T < 2:
-        raise InvalidInputError("T must be an integer >= 2")
+    _require_int(T, 2, "T must be an integer >= 2")
     _check_budget(max_scan)
     # T**n >= 2**k.  Once k reaches the bit lengths of both max_scan + 1 and
     # the print limit, T**n - 1 is past the budget and too long to print, so
@@ -671,7 +662,7 @@ def epsilon_threshold(
     any.  BudgetExceededError is raised for the first point whose range
     exceeds ``max_scan`` and that has no witness within it.
     """
-    grid = tuple(g if type(g) is Fraction else Fraction(g) for g in grid)
+    grid = tuple(map(_as_fraction, grid))
     if not grid:
         raise InvalidInputError("grid must be nonempty")
     pairs = [(g.numerator, g.denominator) for g in grid]

@@ -18,6 +18,7 @@ from fareyapprox import (
     DEFAULT_MAX_SCAN,
     BudgetExceededError,
     ConstraintSet,
+    FareyPair,
     Infeasible,
     InvalidInputError,
     Solution,
@@ -29,9 +30,12 @@ from fareyapprox import (
     dirichlet_solve,
     epsilon_threshold,
     farey,
+    farey_neighbors,
     nearest_int_distance,
     parse_real,
+    subdivide,
 )
+from fareyapprox.cli import run
 from fareyapprox.selftest import _compose_checks, _fraction_scan, _oracle_checks
 
 SQRT2_50 = parse_real("sqrt2", 50)
@@ -66,6 +70,55 @@ def test_constraint_set_validation():
     assert c.n == 2
     assert c.t_min == F(1, 2)
     assert c.xs == (F(1, 3), F(2, 3))
+
+
+class _FractionSubclass(F):
+    pass
+
+
+# What each public entry keeps of a number it is given at 1/2 or 1, read
+# back off its answer.
+INTAKES = {
+    "ConstraintSet": lambda v: ConstraintSet(((v, v),)).items[0],
+    "farey_neighbors": lambda v: (farey_neighbors(v, 2).value,),
+    "subdivide": lambda v: (subdivide(FareyPair(F(0), F(1), 1), v, 2).gap_bound,),
+    "brute_force_solve": lambda v: (brute_force_solve(cs((F(1, 3), F(1))), v).epsilon,),
+    "epsilon_threshold": lambda v: epsilon_threshold(cs((F(1, 3), F(1))), (v,)).grid,
+    "compare": lambda v: (compare(cs((F(1, 3), F(1))), v, 2).epsilon,),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTAKES))
+def test_entries_pass_an_exact_fraction_through_and_convert_the_rest(entry):
+    # rationals._as_fraction: an exact Fraction is kept as the same object;
+    # an int, a str and a Fraction subclass become plain Fractions.
+    take = INTAKES[entry]
+    half = F(1, 2)
+    assert all(kept is half for kept in take(half))
+    for given, value in ((1, F(1)), ("1/2", half), (_FractionSubclass(1, 2), half)):
+        assert all(type(kept) is F and kept == value for kept in take(given))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["neighbors", "--x", "2/7", "--order", "5"], ["solve", "--epsilon", "1/10", "--input", "items.txt"]],
+)
+def test_cli_calls_copy_no_exact_fraction(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "items.txt").write_text("1/3 1\n2/3 1\nsqrt2 1/2\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    new = F.__new__
+    copies = []
+
+    def counting_new(cls, numerator=0, denominator=None, **kwargs):
+        if type(numerator) is F and denominator is None:
+            copies.append(numerator)
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    assert run(argv) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+    assert copies == []
 
 
 def test_check_solution_examples():

@@ -37,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIM = "src/fareyapprox/simultaneous.py"
 MED = "src/fareyapprox/mediants.py"
+FAR = "src/fareyapprox/farey.py"
+RAT = "src/fareyapprox/rationals.py"
 TESTS = ["tests/test_simultaneous.py", "tests/test_farey.py", "tests/test_mediants.py"]
 # A mutant whose tests run longer than this counts as killed: a scan that
 # no longer ends is a fault the tests would hang on.
@@ -90,6 +92,14 @@ MUTANTS = [
      "if witness is not None and q == witness.q:", "if witness is not None:", "killed"),
     ("bound-factor-wrong", SIM,
      "(xn, xd, tn * xd, td) for", "(xn, xd, tn * td, td) for", "killed"),
+    # A sweep point without a witness within the budget raises, and only it.
+    ("budget-error-with-witness", SIM,
+     "if q is None and q_max > max_scan:", "if q_max > max_scan:", "killed"),
+    # The convergent denominators' recurrence, one Euclid step a turn.
+    ("convergent-recurrence-dropped", FAR, "k * b + b0", "k * b", "killed"),
+    # The two intake rules of every public entry.
+    ("require-int-least-refused", RAT, "value < least", "value <= least", "killed"),
+    ("intake-keeps-subclass", RAT, "type(x) is Fraction", "isinstance(x, Fraction)", "killed"),
 ]
 
 
