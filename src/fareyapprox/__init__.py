@@ -63,48 +63,8 @@ from .simultaneous import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CONSTANT_NAMES",
-    "CheckReport",
-    "ComparisonReport",
-    "ConstraintSet",
-    "DEFAULT_MAX_SCAN",
-    "DEFAULT_PRECISION",
-    "EndOfSequenceError",
-    "ExactHit",
-    "FareyApproxError",
-    "FareyPair",
-    "Infeasible",
-    "InfeasibleError",
-    "InternalError",
-    "InvalidInputError",
-    "ItemCheck",
-    "PropertyCheck",
-    "PropertyReport",
-    "Solution",
-    "Subdivision",
-    "ThresholdReport",
-    "ascending_chain",
-    "ascending_step_gap",
-    "ascending_tail_gap",
-    "best_numerator",
-    "brute_force_solve",
-    "check_solution",
-    "compare",
-    "compose_solve",
-    "descending_chain",
-    "descending_step_gap",
-    "descending_tail_gap",
-    "dirichlet_solve",
-    "epsilon_threshold",
-    "farey_neighbors",
-    "farey_next",
-    "farey_sequence",
-    "format_rational",
-    "nearest_int_distance",
-    "parse_rational",
-    "parse_real",
-    "subdivide",
-    "verify_farey_properties",
-]
+# The public API is every name the imports above bind, less the submodules
+# they bind too and names with a leading underscore: a public name is added
+# in one place, the imports.  The list keeps `import *` from binding the
+# submodules, and pydoc from leaving out what they define.
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and type(v) is not type(errors))

@@ -223,9 +223,13 @@ def _cmd_farey(args) -> int:
     hi = parse_rational(args.hi) if args.hi is not None else None
     bound = (hi.numerator, hi.denominator) if hi is not None else ()
     # The recurrence's (h, k) pairs, printed without a Fraction and written
-    # in chunks, so memory stays bounded however long the listing is.
+    # in chunks, so memory stays bounded however long the listing is.  A
+    # line "h/k\n" has at most 2*d + 2 characters, where d = bit_length // 3
+    # + 1 bounds the order's digits (log10 2 < 1/3), so a chunk holds at
+    # most 1 MB of text or one line, and a reader meets the first one soon.
+    size = min(4096, 2**20 // (2 * (args.order.bit_length() // 3) + 4) or 1)
     pairs = _farey_pairs(args.order, lo, *bound)
-    while chunk := list(itertools.islice(pairs, 4096)):
+    while chunk := list(itertools.islice(pairs, size)):
         sys.stdout.write(_pair_lines(chunk))
     return 0
 

@@ -284,7 +284,11 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
     _require_order(order)
     x = _as_fraction(x)
     if not 0 <= x <= 1:
-        raise InvalidInputError(f"value {_fraction_text(x)} outside [0, 1]")
+        # A value of over 100 characters is quoted by its first 20, as
+        # parse_rational quotes a long literal.
+        shown = _fraction_text(x)
+        shown = shown if len(shown) <= 100 else shown[:20] + "..."
+        raise InvalidInputError(f"value {shown} outside [0, 1]")
     if x.denominator <= order:
         return ExactHit(x, order)
     p1, q1, p2, q2 = _bracket(x.numerator, x.denominator, order)

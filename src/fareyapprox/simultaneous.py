@@ -16,8 +16,10 @@ up exponentially in n; :func:`compare` puts the two side by side.
 empirical feasibility frontier with the oracle's scan, run once per
 point: a q that misses the error bounds at some eps misses them at every
 smaller eps, so each point starts at the previous point's witness (the
-witnesses are records of max_i ||q*x_i|| / (q*t_i), the best simultaneous
-approximations of Lagarias 1982).  A point that witness does not settle
+witnesses are records of max_i ||q*x_i|| / (q*t_i), best approximations
+of the first kind; the best simultaneous approximations of Lagarias 1982
+are the records of max_i ||q*x_i|| / t_i, the second kind, and are among
+them).  A point that witness does not settle
 walks on from it, so a sweep walks each q of its overall range at most
 once, and a point it settles reuses its answer.
 

@@ -237,6 +237,41 @@ def test_neighbors_out_of_range(capsys):
     assert code == 1 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["neighbors", "--x", "pi", "--order", "5", "--precision", "5000"],
+        ["neighbors", "--x", "1e4000", "--order", "5"],
+        ["neighbors", "--x", "sqrt2", "--order", "10", "--precision", "5000"],
+    ],
+    ids=["pi-5000", "1e4000", "sqrt2-5000"],
+)
+def test_neighbors_quotes_a_long_value_by_its_head(capsys, argv):
+    # An out-of-range value of thousands of digits is quoted by its first
+    # 20 characters, as parse_rational quotes a long literal: one short line.
+    code, out, err = invoke(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 120
+    assert err.endswith("... outside [0, 1]\n")
+    if argv[2] == "1e4000":
+        assert err == f"error: value 1{'0' * 19}... outside [0, 1]\n"
+
+
+def test_farey_first_write_is_bounded(monkeypatch):
+    # Lines of 8,000 characters are written after about 1 MB of text, not
+    # after a chunk of 4096 of them, so a closed pipe is met early.
+    sizes = []
+
+    class ClosedPipe:
+        def write(self, text):
+            sizes.append(len(text))
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["farey", "--order", "9" * 4000]) == 1
+    assert len(sizes) == 1 and sizes[0] <= 2**20
+
+
 def test_subdivide_output(capsys):
     code, out, _ = invoke(
         capsys, ["subdivide", "--lo", "1/3", "--hi", "1/2", "--order", "3", "--gap", "1/7"]
@@ -794,9 +829,6 @@ _LONG_FILES = {"sqrt2.txt": "sqrt2 1\n", "sqrt3.txt": "sqrt3 1\n", "zero.txt": "
          ["--precision", "64"], 0),
         (["solve", "--input", "sqrt3.txt", "--epsilon", "1/10", "--precision", "4400"],
          ["--precision", "64"], 0),
-        # The message names a value with 5000-digit parts.
-        (["neighbors", "--x", "sqrt2", "--order", "10", "--precision", "5000"],
-         ["--precision", "64"], 1),
         # epsilon echoed back, feasible and with an empty range.
         (["solve", "--input", "zero.txt", "--epsilon", "1e-5000"], ["--epsilon", "1e-50"], 0),
         (["solve", "--input", "zero.txt", "--epsilon", "1e5000"], ["--epsilon", "1e50"], 2),
@@ -808,7 +840,7 @@ _LONG_FILES = {"sqrt2.txt": "sqrt2 1\n", "sqrt3.txt": "sqrt3 1\n", "zero.txt": "
         (["subdivide", "--lo", "sqrt2", "--hi", "1", "--order", "1", "--gap", "1/2",
           "--precision", "5000"], ["--precision", "64"], 1),
     ],
-    ids=["solve-sqrt2", "solve-sqrt3", "neighbors-sqrt2", "solve-tiny-eps", "solve-huge-eps",
+    ids=["solve-sqrt2", "solve-sqrt3", "solve-tiny-eps", "solve-huge-eps",
          "solve-huge-p", "subdivide-tiny-gap", "subdivide-long-lo"],
 )
 def test_values_past_the_print_limit_print_exactly(tmp_path, capsys, argv, short, code):

@@ -142,6 +142,13 @@ def test_farey_pair_messages_print_orders_of_any_length():
     assert str(exc.value) == f"pair is not consecutive in F_1{'0' * 4999}2: 0, 1/1{'0' * 5000}"
 
 
+def test_farey_neighbors_quotes_a_value_of_more_than_100_characters_by_its_head():
+    for value, shown in ((F(10**99), "1" + "0" * 99), (F(10**100), "1" + "0" * 19 + "...")):
+        with pytest.raises(InvalidInputError) as exc:
+            farey_neighbors(value, 5)
+        assert str(exc.value) == f"value {shown} outside [0, 1]"
+
+
 def test_farey_next_examples():
     assert farey_next(FareyPair(F(0), F(1, 5), 5)) == F(1, 4)
     assert farey_next(FareyPair(F(3, 4), F(4, 5), 5)) == F(1)

@@ -1,13 +1,17 @@
 import dataclasses
 import inspect
 import os
+import pydoc
+import re
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import fareyapprox
 from fareyapprox._record import record
 from fareyapprox.errors import InvalidInputError
 from fareyapprox.farey import FareyPair
@@ -92,3 +96,20 @@ def test_package_import_loads_no_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_all_is_the_public_names_its_imports_bind():
+    # fareyapprox.__all__ is read off the package's imports.  The list keeps
+    # `import *` from binding the submodules, and pydoc from leaving out the
+    # classes and functions the submodules define.
+    names: dict = {}
+    exec("from fareyapprox import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == fareyapprox.__all__ == sorted(fareyapprox.__all__)
+    assert not any(isinstance(value, types.ModuleType) for value in names.values())
+    for name, value in names.items():
+        # A stdlib name imported publicly by mistake would show here.
+        assert getattr(value, "__module__", "fareyapprox.").startswith("fareyapprox."), name
+    text = pydoc.render_doc(fareyapprox, renderer=pydoc.plaintext)
+    for name in fareyapprox.__all__:
+        assert re.search(rf"^    (class )?{name}\b", text, re.MULTILINE), name
