@@ -368,9 +368,11 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
-# Built once per process and shared by every run() call: parse_args makes a
-# fresh Namespace each time, and each _cmd_* looks up its library function at
-# call time, so patching those names still takes effect.
+# Built once per process and shared by every run() call: each parse makes a
+# fresh Namespace, and each _cmd_* looks up its library function at call
+# time, so patching those names still takes effect.  The returned parser
+# keeps its subcommand parsers by name as .commands, the table run()
+# dispatches on.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -445,14 +447,32 @@ def _build_parser() -> argparse.ArgumentParser:
     # starts with the usage its parent has when the subparsers are added.
     indent = " " * len("usage: farey-approx ")
     parser.usage = f"%(prog)s [-h]\n{indent}{{{','.join(subs.choices)}}}\n{indent}..."
+    parser.commands = subs.choices
     return parser
 
 
 def run(argv: list[str]) -> int:
-    """Dispatch a CLI invocation; returns the process exit code."""
+    """Dispatch a CLI invocation; returns the process exit code.
+
+    An argv whose first token names a subcommand goes straight to that
+    subcommand's parser, and tokens it leaves over are refused with the
+    top-level parser's "unrecognized arguments" error.  Any other argv
+    (none, -h, an unknown command) goes to the top-level parser.  The output
+    is what a top-level parse of every argv prints: that parse hands the
+    tail after the command to the same subparser's parse_known_args and
+    reports its leftovers with the same error.  Its own pass over the tail
+    only sorts tokens into options and values, which cannot fail with -h as
+    its one option, and the subcommand takes them all either way.
+    """
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         # Checked before any input is read, so the message names the option
         # and not the first file line or value it would apply to.
         if not 1 <= getattr(args, "precision", DEFAULT_PRECISION) <= MAX_PRECISION:

@@ -43,6 +43,13 @@ def _require_order(order: int) -> None:
     _require_int(order, 1, "Farey order must be a positive integer")
 
 
+def _quoted(x: Fraction) -> str:
+    # A value of over 100 characters is quoted by its first 20, as
+    # parse_rational quotes a long literal.
+    text = _fraction_text(x)
+    return text if len(text) <= 100 else text[:20] + "..."
+
+
 @record
 class FareyPair:
     """Two consecutive elements of F_order.
@@ -77,7 +84,7 @@ class FareyPair:
             )
 
     def _ends(self) -> str:
-        return f"{_fraction_text(self.left)}, {_fraction_text(self.right)}"
+        return f"{_quoted(self.left)}, {_quoted(self.right)}"
 
 
 @record
@@ -284,11 +291,7 @@ def farey_neighbors(x: Fraction, order: int) -> Union[FareyPair, ExactHit]:
     _require_order(order)
     x = _as_fraction(x)
     if not 0 <= x <= 1:
-        # A value of over 100 characters is quoted by its first 20, as
-        # parse_rational quotes a long literal.
-        shown = _fraction_text(x)
-        shown = shown if len(shown) <= 100 else shown[:20] + "..."
-        raise InvalidInputError(f"value {shown} outside [0, 1]")
+        raise InvalidInputError(f"value {_quoted(x)} outside [0, 1]")
     if x.denominator <= order:
         return ExactHit(x, order)
     p1, q1, p2, q2 = _bracket(x.numerator, x.denominator, order)

@@ -30,6 +30,7 @@ from fareyapprox import (
 from fareyapprox.cli import _build_parser, run
 from fareyapprox.selftest import run_selftest
 from oracles import consecutive_pairs, subdivision_failures
+import transcripts
 
 
 def invoke(capsys, argv):
@@ -255,6 +256,15 @@ def test_neighbors_quotes_a_long_value_by_its_head(capsys, argv):
     assert err.endswith("... outside [0, 1]\n")
     if argv[2] == "1e4000":
         assert err == f"error: value 1{'0' * 19}... outside [0, 1]\n"
+
+
+def test_subdivide_quotes_a_long_end_by_its_head(capsys):
+    # FareyPair quotes each end as farey_neighbors quotes its value: one of
+    # thousands of digits by its first 20 characters, in one short line.
+    argv = ["subdivide", "--lo", "sqrt2", "--hi", "1", "--order", "1", "--gap", "1/2",
+            "--precision", "5000"]
+    err = "error: not an ordered pair in [0, 1]: 35355339059327376220..., 1\n"
+    assert invoke(capsys, argv) == (1, "", err)
 
 
 def test_farey_first_write_is_bounded(monkeypatch):
@@ -834,14 +844,12 @@ _LONG_FILES = {"sqrt2.txt": "sqrt2 1\n", "sqrt3.txt": "sqrt3 1\n", "zero.txt": "
         (["solve", "--input", "zero.txt", "--epsilon", "1e5000"], ["--epsilon", "1e50"], 2),
         # A JSON int of 9001 digits: p for the target 10**9000.
         (["solve", "--input", "huge.txt", "--epsilon", "1/10"], ["--input", "zero.txt"], 0),
-        # Subdivision messages and FareyPair's own check.
+        # Subdivision messages.
         (["subdivide", "--lo", "0", "--hi", "1/7", "--order", "7", "--gap", "1e-5000",
           "--max-denom", "10"], ["--gap", "1e-50"], 2),
-        (["subdivide", "--lo", "sqrt2", "--hi", "1", "--order", "1", "--gap", "1/2",
-          "--precision", "5000"], ["--precision", "64"], 1),
     ],
     ids=["solve-sqrt2", "solve-sqrt3", "solve-tiny-eps", "solve-huge-eps",
-         "solve-huge-p", "subdivide-tiny-gap", "subdivide-long-lo"],
+         "solve-huge-p", "subdivide-tiny-gap"],
 )
 def test_values_past_the_print_limit_print_exactly(tmp_path, capsys, argv, short, code):
     # No traceback, the exit code of the same call with short values, under
@@ -1147,6 +1155,33 @@ def test_cached_parser_carries_no_state(tmp_path, capsys, monkeypatch):
         mp.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         fresh = [invoke(capsys, argv) for argv in calls]
     assert [invoke(capsys, argv) for argv in calls] == fresh
+
+
+def test_usage_and_error_transcript(tmp_path, monkeypatch):
+    # Golden: exit code, stdout and stderr of usage errors, help, "--",
+    # values that look like options and one valid call per subcommand.
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = transcripts.USAGE_GOLDEN.read_text(encoding="utf-8")
+    assert transcripts.usage_errors(tmp_path) == golden
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [(["neighbors", "--x", "1/3", "--order", "5"], 0), ([], 1), (["-h"], 1), (["nonsense"], 1)],
+)
+def test_top_level_parser_runs_only_without_a_command(capsys, monkeypatch, argv, passes):
+    # An argv that names a subcommand is parsed by that subcommand alone.
+    parser = cli._build_parser()
+    parse_known_args = parser.parse_known_args
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    invoke(capsys, argv)
+    assert len(calls) == passes
 
 
 SELFTEST_STDOUT = (_GOLDENS / "selftest.txt").read_text(encoding="utf-8")

@@ -18,6 +18,7 @@ def test_interpreters_tool_matches_the_goldens_under_this_python():
     assert proc.stdout.splitlines() == [
         *(f"{sys.executable} demos/{name}: same" for name in DEMOS),
         f"{sys.executable} README transcript: same",
+        f"{sys.executable} usage and error transcript: same",
         f"{sys.executable} -m fareyapprox selftest: same",
         f"{sys.executable} -m fareyapprox --help: same",
     ]
@@ -37,5 +38,5 @@ def test_interpreters_tool_reports_each_difference(tmp_path, capsys):
     missing = str(tmp_path / "no-python")
     assert INTERPRETERS["main"](["--python", missing]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(DEMOS) + 3 and all(line.startswith(f"{missing} ") for line in lines)
+    assert len(lines) == len(DEMOS) + 4 and all(line.startswith(f"{missing} ") for line in lines)
     assert all(": cannot run: " in line for line in lines)

@@ -8,16 +8,13 @@ command, exit code, stdout and stderr are compared with
 file with `PYTHONPATH=src python tests/test_readme_examples.py`.
 """
 
-import contextlib
-import io
-import os
 import re
 import shlex
 import sys
 import tempfile
 from pathlib import Path
 
-from fareyapprox.cli import run
+import transcripts
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "readme_output.txt"
@@ -38,22 +35,7 @@ def readme_examples() -> tuple[list[list[str]], str]:
 
 def transcript(workdir: Path) -> str:
     calls, constraints = readme_examples()
-    (workdir / "constraints.txt").write_text(constraints, encoding="utf-8")
-    parts = []
-    old = os.getcwd()
-    os.chdir(workdir)
-    try:
-        for argv in calls:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(argv)
-            parts.append(
-                f"$ farey-approx {shlex.join(argv)}\n[exit {code}]\n"
-                f"[stdout]\n{out.getvalue()}[stderr]\n{err.getvalue()}"
-            )
-    finally:
-        os.chdir(old)
-    return "\n".join(parts)
+    return transcripts.transcript(calls, workdir, {"constraints.txt": constraints})
 
 
 def test_readme_examples_are_found():

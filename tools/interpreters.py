@@ -8,7 +8,9 @@ the tool runs every script of ``demos/`` from the repository root with
 0, an empty stderr and stdout equal to ``tests/demo_output/<name>.txt``.
 It then builds the README transcript with ``transcript`` of
 ``tests/test_readme_examples.py``, which needs no pytest, under the same
-interpreter, and compares it with ``tests/readme_output.txt``.  Last it
+interpreter, and compares it with ``tests/readme_output.txt``; likewise
+the usage and error transcript, ``usage_errors`` of ``tests/transcripts.py``,
+with ``tests/cli_output/usage_errors.txt``.  Last it
 runs ``python -m fareyapprox selftest`` and ``python -m fareyapprox
 --help`` and compares them with ``tests/cli_output/selftest.txt`` and
 ``tests/cli_output/help.txt``, the goldens ``tests/test_cli.py`` reads.
@@ -31,13 +33,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 300
-# Writes the README transcript, built in a temporary directory, to stdout.
+# Writes the transcript that <builder> makes in a temporary directory to stdout.
 _TRANSCRIPT = (
     "import sys, tempfile\n"
     "from pathlib import Path\n"
-    "from test_readme_examples import transcript\n"
+    "import test_readme_examples, transcripts\n"
     "with tempfile.TemporaryDirectory() as tmp:\n"
-    "    sys.stdout.write(transcript(Path(tmp)))\n"
+    "    sys.stdout.write({builder}(Path(tmp)))\n"
 )
 
 
@@ -74,7 +76,13 @@ def main(argv: list[str] | None = None) -> int:
         (f"demos/{demo.name}", [str(demo)], ROOT / "tests" / "demo_output" / f"{demo.stem}.txt")
         for demo in sorted((ROOT / "demos").glob("*.py"))
     ]
-    checks.append(("README transcript", ["-c", _TRANSCRIPT], ROOT / "tests" / "readme_output.txt"))
+    checks += [
+        (name, ["-c", _TRANSCRIPT.format(builder=builder)], ROOT / "tests" / golden)
+        for name, builder, golden in (
+            ("README transcript", "test_readme_examples.transcript", "readme_output.txt"),
+            ("usage and error transcript", "transcripts.usage_errors", "cli_output/usage_errors.txt"),
+        )
+    ]
     checks += [
         (f"-m fareyapprox {command}", ["-m", "fareyapprox", command], ROOT / "tests" / "cli_output" / golden)
         for command, golden in (("selftest", "selftest.txt"), ("--help", "help.txt"))
